@@ -45,7 +45,7 @@ from .geometry import (
 )
 from .meshcheck import (
     DiscProbe,
-    _clipped_area_detail,
+    clipped_area,
     load_mesh,
     plateau_angle_check,
     verify_main_inequality,
@@ -258,7 +258,7 @@ def _write_curve_csv(args, mesh, center) -> None:
     rows = ["radius,bound,measured_area"]
     for r in radii:
         probe = DiscProbe(center, float(r), DensityClass(args.theta), args.h)
-        measured, _ = _clipped_area_detail(mesh, probe, args.eps_area)
+        measured = clipped_area(mesh, probe, args.eps_area)
         bound = main_theorem_bound(theta, args.h, float(r))
         rows.append(f"{float(r):.17g},{bound:.17g},{measured:.17g}")
     with open(args.csv, "w", encoding="utf-8") as f:

@@ -1,9 +1,10 @@
 """Triangulated foam surfaces: loading, ball-clipped areas, angle checks.
 
-clipped_area estimates the area of mesh-intersect-ball by recursive
-midpoint subdivision: triangles entirely inside the (closed) ball count
-fully, triangles farther than the radius count zero, and the undecided
-rest is split until its total area drops below the error budget.
+clipped_area computes the area of mesh-intersect-ball in closed form: the
+ball cuts each triangle's plane in a disc, and the disc-triangle area is
+the standard circle-polygon sum of sector and triangle terms over the
+edges.  The result is exact up to floating-point rounding, for which a
+first-order bound is reported as the uncertainty.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from .bounds import main_theorem_bound
 from .errors import MeshFormatError, MeshInvariantError
 from .geometry import ARCCOS_THIRD, DensityClass, as_point
 
-MAX_SUBDIV_DEPTH = 24
-# Undecided fragments live along the sphere boundary and double per level;
-# this cap keeps one refinement level inside a few hundred MB.
-MAX_UNDECIDED_FRAGMENTS = 2 ** 22
 _DEGENERATE_AREA_RTOL = 1e-12
+# Generous count of the roundings between the input coordinates and one
+# triangle's clipped area; scales the reported rounding bound.
+_ROUNDING_OPS = 64
 
 
 def pairwise_sum(values) -> float:
@@ -105,10 +105,17 @@ class FoamMesh:
         )
 
     def edge_use_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique undirected edges and how many triangles use each."""
-        e = self.triangles[:, [(0, 1), (1, 2), (2, 0)]].reshape(-1, 2)
-        e = np.sort(e, axis=1)
-        return np.unique(e, axis=0, return_counts=True)
+        """Unique undirected edges and how many triangles use each.
+
+        Edges come in lexicographic order.  Each sorted pair is keyed as
+        lo * n_vertices + hi, so one 1-D unique replaces a row-wise one.
+        """
+        nv = len(self.vertices)
+        e = np.sort(self.triangles[:, [(0, 1), (1, 2), (2, 0)]].reshape(-1, 2), axis=1)
+        keys, counts = np.unique(
+            e[:, 0].astype(np.int64) * nv + e[:, 1], return_counts=True
+        )
+        return np.stack([keys // nv, keys % nv], axis=1), counts
 
     def total_area(self) -> float:
         return pairwise_sum(_triangle_areas(self.vertices[self.triangles]))
@@ -235,109 +242,91 @@ def save_off(mesh: FoamMesh, path) -> None:
 # Clipped area
 
 
-def _point_segment_distance(p0, p1, point) -> np.ndarray:
-    d = p1 - p0
-    w = point - p0
-    dd = np.einsum("ij,ij->i", d, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.einsum("ij,ij->i", w, d) / dd
-    t = np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
-    closest = p0 + t[:, None] * d
-    return np.linalg.norm(point - closest, axis=1)
-
-
-def _point_triangle_distance(tris: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Minimum distance from a point to each triangle in a (K, 3, 3) batch."""
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    d_edge = np.minimum(
-        _point_segment_distance(a, b, point),
-        np.minimum(
-            _point_segment_distance(b, c, point),
-            _point_segment_distance(c, a, point),
-        ),
-    )
-    e0 = b - a
-    e1 = c - a
-    w = point - a
-    a00 = np.einsum("ij,ij->i", e0, e0)
-    a01 = np.einsum("ij,ij->i", e0, e1)
-    a11 = np.einsum("ij,ij->i", e1, e1)
-    b0 = np.einsum("ij,ij->i", w, e0)
-    b1 = np.einsum("ij,ij->i", w, e1)
-    det = a00 * a11 - a01 * a01
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = (a11 * b0 - a01 * b1) / det
-        v = (a00 * b1 - a01 * b0) / det
-    inside = (det > 0) & np.isfinite(u) & np.isfinite(v)
-    inside &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
-    proj = a + np.where(inside, u, 0.0)[:, None] * e0 + np.where(inside, v, 0.0)[:, None] * e1
-    d_plane = np.linalg.norm(point - proj, axis=1)
-    return np.where(inside, np.minimum(d_plane, d_edge), d_edge)
-
-
-def _subdivide(tris: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    ab = 0.5 * (a + b)
-    bc = 0.5 * (b + c)
-    ca = 0.5 * (c + a)
-    children = np.concatenate(
-        [
-            np.stack([a, ab, ca], axis=1),
-            np.stack([ab, b, bc], axis=1),
-            np.stack([ca, bc, c], axis=1),
-            np.stack([ab, bc, ca], axis=1),
-        ]
-    )
-    return children, np.tile(roots, 4)
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("...k,...k->...", u, v)
 
 
 def _clipped_area_detail(
     mesh: FoamMesh, probe: DiscProbe, eps: float
 ) -> tuple[float, float]:
-    """Returns (area estimate, uncertainty).
+    """Returns (area of the mesh inside the closed ball, rounding bound).
 
-    The estimate is a sum of fully-inside fragment areas plus half of the
-    final undecided area; the uncertainty is half the undecided area, so
-    it stays below eps unless a termination cap (subdivision depth 24 or
-    the fragment-count limit) fires first, in which case the residual is
-    carried into the reported uncertainty instead.
+    Closed form, one vectorised pass over the triangles.  A triangle whose
+    plane lies at signed distance delta from the probe centre, |delta| < R,
+    meets the ball in the disc of radius rho = sqrt(R^2 - delta^2) about
+    the centre's projection c'.  The disc-triangle area is the
+    circle-polygon sum over the edges A->B, taken relative to c' and
+    oriented by the unit normal n: with P1 and P2 the points where the
+    edge enters and leaves the disc (line parameters clipped to [0, 1];
+    both are the point nearest c' when the line misses the disc),
+    the edge adds the sector 1/2 rho^2 angle(A, P1) if it starts outside
+    the disc, the triangle 1/2 (P1 x P2).n, and the sector
+    1/2 rho^2 angle(P2, B) if it ends outside.  The sector terms are gated
+    on the edge really being outside there: with the centre on a vertex, A
+    is a near-zero vector whose atan2 angle is arbitrary.
+
+    The second value is a first-order bound on floating-point rounding.
+    Shifting a vertex, the centre or a crossing point by s moves the area
+    by at most (6 + 2 pi) R s, and changing rho^2 by s moves it by at most
+    pi s.  Per triangle the shifts are at most _ROUNDING_OPS roundings of
+    the vertex distances from the centre, times 1/sin of a corner angle
+    (through the normal).  The bound sums this over the triangles near the
+    ball and adds the pairwise summation error.  It does not depend on eps,
+    which only has to be positive: a budget below it shows in the report
+    as uncertainty > eps.
     """
     if eps <= 0:
         raise ValueError("area error budget eps must be positive")
-    point = probe.center
-    radius = probe.radius
-    tris = mesh.vertices[mesh.triangles]
-    roots = np.arange(len(tris))
-    inside_acc = np.zeros(len(tris))
-    uncertainty = 0.0
-    for depth in range(MAX_SUBDIV_DEPTH + 1):
-        if len(tris) == 0:
-            break
-        vert_dist = np.linalg.norm(tris - point, axis=2)
-        fully_inside = np.all(vert_dist <= radius, axis=1)
-        min_dist = _point_triangle_distance(tris, point)
-        outside = ~fully_inside & (min_dist > radius)
-        undecided = ~fully_inside & ~outside
-        areas = _triangle_areas(tris)
-        if np.any(fully_inside):
-            np.add.at(inside_acc, roots[fully_inside], areas[fully_inside])
-        if not np.any(undecided):
-            break
-        undecided_area = float(np.sum(areas[undecided]))
-        capped = (
-            depth == MAX_SUBDIV_DEPTH
-            or int(np.sum(undecided)) * 4 > MAX_UNDECIDED_FRAGMENTS
-        )
-        if undecided_area < eps or capped:
-            np.add.at(inside_acc, roots[undecided], 0.5 * areas[undecided])
-            uncertainty = 0.5 * undecided_area
-            break
-        tris, roots = _subdivide(tris[undecided], roots[undecided])
-    return pairwise_sum(inside_acc), uncertainty
+    r = probe.radius
+    w = mesh.vertices[mesh.triangles] - probe.center
+    # Triangles whose bounding sphere misses the ball contribute nothing.
+    centroid = w.mean(axis=1)
+    spread = np.linalg.norm(w - centroid[:, None], axis=2).max(axis=1)
+    w = w[np.linalg.norm(centroid, axis=1) <= r + spread]
+    if len(w) == 0:
+        return 0.0, 0.0
+    e1 = w[:, 1] - w[:, 0]
+    e2 = w[:, 2] - w[:, 0]
+    cross = np.cross(e1, e2)
+    twice_area = np.linalg.norm(cross, axis=1)
+    n = cross / twice_area[:, None]
+    delta = _dot(w[:, 0], n)
+    rho2 = r * r - delta * delta
+
+    a = w - delta[:, None, None] * n[:, None, :]
+    b = np.roll(a, -1, axis=1)
+    n = n[:, None, :]
+    d = b - a
+    dd = _dot(d, d)
+    ad = _dot(a, d)
+    root = np.sqrt(np.maximum(ad * ad - dd * (_dot(a, a) - rho2[:, None]), 0.0))
+    t1 = np.clip((-ad - root) / dd, 0.0, 1.0)
+    t2 = np.clip((-ad + root) / dd, 0.0, 1.0)
+    p1 = a + t1[..., None] * d
+    p2 = a + t2[..., None] * d
+
+    def sector(u, v, outside):
+        angle = np.arctan2(_dot(np.cross(u, v), n), _dot(u, v))
+        return np.where(outside, 0.5 * rho2[:, None] * angle, 0.0)
+
+    edge = sector(a, p1, t1 > 0.0) + 0.5 * _dot(np.cross(p1, p2), n) + sector(p2, b, t2 < 1.0)
+    areas = np.where(np.abs(delta) < r, np.abs(edge.sum(axis=1)), 0.0)
+    value = pairwise_sum(areas)
+
+    ulp = np.finfo(float).eps
+    kappa = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1) / twice_area
+    reach = np.linalg.norm(w, axis=2).max(axis=1)
+    per_triangle = _ROUNDING_OPS * ulp * (r * r + kappa * r * reach)
+    summation = math.ceil(math.log2(len(w))) * ulp * value
+    return value, pairwise_sum(per_triangle) + summation
 
 
 def clipped_area(mesh: FoamMesh, probe: DiscProbe, eps: float) -> float:
-    """Area of the mesh inside the closed ball of the probe, within eps."""
+    """Area of the mesh inside the closed ball of the probe.
+
+    Exact up to floating-point rounding, which stays far below any
+    practical eps; eps must be positive.
+    """
     value, _ = _clipped_area_detail(mesh, probe, eps)
     return value
 
@@ -375,9 +364,10 @@ def verify_main_inequality(
 ) -> InequalityReport:
     """Check measured disc area >= theta * exp(-2hR) * pi * R^2.
 
-    The left side is the area estimate minus the error budget (or the
-    actual uncertainty if the depth cap inflated it), so a pass is a
-    certified numerical verification, not a point estimate.
+    The area is the closed-form clipped area; its uncertainty bounds the
+    floating-point rounding.  The left side subtracts the larger of the
+    error budget and that bound, so a pass is a certified numerical
+    verification, not a point estimate.
     """
     value, uncertainty = _clipped_area_detail(mesh, probe, eps)
     rhs = main_theorem_bound(probe.density_class.theta, probe.h, probe.radius)

@@ -175,6 +175,9 @@ def test_mesh_verify_and_csv(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "radius,bound,measured_area"
     assert len(lines) == 5
+    for line in lines[1:]:
+        r, _, measured = (float(x) for x in line.split(","))
+        assert measured == pytest.approx(THETA_V_PI * r * r, abs=1e-12)
 
 
 def test_mesh_angles(tmp_path):

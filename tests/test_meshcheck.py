@@ -1,5 +1,6 @@
 """Mesh loading, ball-clipped areas, and the numerical inequality checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from foambounds import (
     verify_main_inequality,
 )
 from foambounds.geometry import THETA_V_PI
-from foambounds.meshcheck import pairwise_sum
+from foambounds.meshcheck import _clipped_area_detail, pairwise_sum
 from foambounds.meshes import (
     cylinder_tube,
     flat_sheet,
@@ -138,6 +139,15 @@ def test_plateau_border_edges_accepted():
     assert counts.max() == 3  # the axis is a legal triple edge
 
 
+def test_edge_keys_match_row_unique(unit_sphere):
+    for mesh in (unit_sphere, triple_wedge(1.0)):
+        pairs = np.sort(mesh.triangles[:, [(0, 1), (1, 2), (2, 0)]].reshape(-1, 2), axis=1)
+        want_edges, want_counts = np.unique(pairs, axis=0, return_counts=True)
+        edges, counts = mesh.edge_use_counts()
+        assert np.array_equal(edges, want_edges)
+        assert np.array_equal(counts, want_counts)
+
+
 # --- clipped area -----------------------------------------------------------
 
 
@@ -171,13 +181,90 @@ def test_clipped_area_monotone_in_radius(unit_sphere):
     assert np.all(diffs >= -2e-4)  # monotone up to the error budget
 
 
-def test_clipped_area_converges():
-    wedge = triple_wedge(2.5)
-    probe = DiscProbe([0, 0, 0], 1.0)
-    for eps in (1e-2, 1e-3):
-        coarse = clipped_area(wedge, probe, eps)
-        fine = clipped_area(wedge, probe, eps / 2.0)
-        assert abs(coarse - fine) <= 1.5 * eps
+def test_clipped_area_matches_closed_forms():
+    # Flat pieces through the centre: the disc area is exactly theta*pi*R^2.
+    cases = [
+        (triple_wedge(2.5), [0.0, 0.0, 0.0], 1.5 * math.pi),
+        (triple_wedge(2.5), [0.0, 0.0, 0.7], 1.5 * math.pi),
+        (tetrahedral_cone(2.5), [0.0, 0.0, 0.0], THETA_V_PI),
+        (flat_sheet(2.0), [0.0, 0.0, 0.0], math.pi),
+        (flat_sheet(2.0), [0.4, -0.3, 0.0], math.pi),
+    ]
+    for (mesh, center, theta_pi), radius in itertools.product(cases, (0.3, 1.0)):
+        for eps in (1e-5, 1e-8):
+            value, uncertainty = _clipped_area_detail(mesh, DiscProbe(center, radius), eps)
+            assert value == pytest.approx(theta_pi * radius ** 2, abs=1e-12)
+            assert uncertainty <= eps
+
+
+def test_clipped_area_within_rounding_bound():
+    # The same formula evaluated with 40 significant digits: the float
+    # result must sit inside its reported rounding bound, also for
+    # coordinates far from the origin and for slivers.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    sliver = FoamMesh(
+        np.array([[0, 0, 0], [1, 0, 0], [0.5, 1e-5, 0], [0.5, -1e-5, 1e-6]], dtype=float),
+        np.array([(0, 1, 2), (0, 3, 1)]),
+    )
+    sphere = icosphere(2, 1.0)
+    far = triple_wedge(2.5)
+    far = FoamMesh(far.vertices + 1e6, far.triangles)
+    cases = [
+        (tetrahedral_cone(2.5), [0.2, -0.1, 0.3], 0.9),
+        (sliver, [0.4, 2e-6, -1e-6], 0.35),
+        (sphere, sphere.vertices[7] + 1e-3, 1.3),
+        (far, [1e6 + 0.3, 1e6 - 0.2, 1e6 + 0.1], 1.1),
+    ]
+    for mesh, center, radius in cases:
+        value, uncertainty = _clipped_area_detail(mesh, DiscProbe(center, radius), 1e-3)
+        reference = _clipped_area_mp(mp, mesh, center, radius)
+        assert 0.0 < uncertainty < 1e-8
+        assert abs(mp.mpf(value) - reference) <= uncertainty
+
+
+def _clipped_area_mp(mp, mesh, center, radius):
+    """Scalar high-precision evaluation of the circle-polygon sum."""
+
+    def dot(p, q):
+        return sum(x * y for x, y in zip(p, q))
+
+    def cross(p, q):
+        return [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]
+
+    def axpy(t, d, p):
+        return [t * x + y for x, y in zip(d, p)]
+
+    c = [mp.mpf(float(x)) for x in center]
+    r = mp.mpf(radius)
+    total = mp.mpf(0)
+    for tri in mesh.triangles:
+        w = [[mp.mpf(float(x)) - y for x, y in zip(mesh.vertices[k], c)] for k in tri]
+        normal = cross(axpy(-1, w[0], w[1]), axpy(-1, w[0], w[2]))
+        n = [x / mp.sqrt(dot(normal, normal)) for x in normal]
+        delta = dot(w[0], n)
+        if abs(delta) >= r:
+            continue
+        rho2 = r * r - delta * delta
+        a = [axpy(-delta, n, p) for p in w]
+        signed = mp.mpf(0)
+        for k in range(3):
+            start, end = a[k], a[(k + 1) % 3]
+            d = axpy(-1, start, end)
+            dd, ad = dot(d, d), dot(start, d)
+            disc = ad * ad - dd * (dot(start, start) - rho2)
+            t1 = t2 = mp.mpf(0)
+            if disc > 0:
+                t1 = min(max((-ad - mp.sqrt(disc)) / dd, 0), 1)
+                t2 = min(max((-ad + mp.sqrt(disc)) / dd, 0), 1)
+            p1, p2 = axpy(t1, d, start), axpy(t2, d, start)
+            if t1 > 0:
+                signed += rho2 * mp.atan2(dot(cross(start, p1), n), dot(start, p1)) / 2
+            signed += dot(cross(p1, p2), n) / 2
+            if t2 < 1:
+                signed += rho2 * mp.atan2(dot(cross(p2, end), n), dot(p2, end)) / 2
+        total += abs(signed)
+    return total
 
 
 def test_clipped_area_deterministic(unit_sphere):
@@ -185,6 +272,50 @@ def test_clipped_area_deterministic(unit_sphere):
     a = clipped_area(unit_sphere, DiscProbe(o, 1.0), eps=1e-3)
     b = clipped_area(unit_sphere, DiscProbe(o, 1.0), eps=1e-3)
     assert a == b
+
+
+# --- clipped area on degenerate geometry ------------------------------------
+
+
+def test_probe_on_icosphere_vertex(unit_sphere):
+    # The edges leaving the centre vertex start at a near-zero vector.
+    o = unit_sphere.vertices[0]
+    for radius in (0.05, 0.3, 1.0):
+        on = clipped_area(unit_sphere, DiscProbe(o, radius), eps=1e-3)
+        off = clipped_area(unit_sphere, DiscProbe(o + 1e-14, radius), eps=1e-3)
+        assert on > 0.0
+        assert on == pytest.approx(off, abs=1e-12)
+
+
+def test_probe_on_icosphere_edge(unit_sphere):
+    a, b = unit_sphere.vertices[unit_sphere.triangles[0][:2]]
+    mid = 0.5 * (a + b)
+    for radius in (0.01, 0.3):
+        area = clipped_area(unit_sphere, DiscProbe(mid, radius), eps=1e-3)
+        assert math.isfinite(area) and area > 0.0
+        for shift in ([1e-12, 0, 0], [0, 1e-12, 0], [0, 0, 1e-12]):
+            moved = clipped_area(unit_sphere, DiscProbe(mid + shift, radius), eps=1e-3)
+            assert moved == pytest.approx(area, abs=1e-10)
+
+
+@pytest.mark.parametrize("radius", [0.3, 1.0])
+def test_probe_at_cone_apex(radius):
+    cone = tetrahedral_cone(2.5)
+    for center in ([0.0, 0.0, 0.0], [1e-12, 0.0, 0.0], [0.0, -1e-12, 1e-12]):
+        area = clipped_area(cone, DiscProbe(center, radius), eps=1e-3)
+        assert area == pytest.approx(THETA_V_PI * radius ** 2, abs=1e-12)
+
+
+def test_ball_tangent_to_sheet():
+    sheet = flat_sheet(2.0)
+    assert clipped_area(sheet, DiscProbe([0.0, 0.0, 0.5], 0.5), eps=1e-3) == 0.0
+    assert clipped_area(sheet, DiscProbe([0.3, -0.2, -0.25], 0.25), eps=1e-3) == 0.0
+
+
+def test_ball_containing_whole_mesh(unit_sphere):
+    for mesh in (unit_sphere, triple_wedge(2.5), tetrahedral_cone(2.5)):
+        area = clipped_area(mesh, DiscProbe([0.1, 0.0, -0.1], 10.0), eps=1e-3)
+        assert area == pytest.approx(mesh.total_area(), abs=1e-12)
 
 
 def test_clipped_area_validates_eps(unit_sphere):
