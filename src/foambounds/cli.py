@@ -127,6 +127,8 @@ def cmd_eva_exact(args) -> dict:
         "method": result.method,
         "subset": list(result.surviving_subset),
         "radii": result.radii.tolist(),
+        "subsets_scored": result.subsets_scored,
+        "subsets_total": 2 ** matrix.n - 1,
         "theta_v_pi_units": result.value / THETA_V_PI,
         "evA_over_theta_v_pi": result.value / THETA_V_PI,
         "formula": "max over nonempty point subsets of " + _EVA_FORMULA,

@@ -27,7 +27,13 @@ from .geometry import (
     build_distance_matrix,
     reduce_distance_matrix,
 )
-from .polytope import HPolytope, build_h_polytope, enumerate_vertices, interior_point
+from .polytope import (
+    FEASIBILITY_TOL,
+    HPolytope,
+    build_h_polytope,
+    enumerate_vertices,
+    interior_point,
+)
 
 # The objective is convex on the whole polytope whenever every entry of
 # the reduced matrix is at most this constant over h; in that regime the
@@ -39,6 +45,11 @@ CONVEXITY_COEFF = 2.0 - math.sqrt(2.0)
 ASCENT_STARTS = 32
 
 _ZERO_RADIUS_RTOL = 1e-9
+
+# Relative margin by which a subset's upper bound must fall below the best
+# value before the exact search prunes it; covers the rounding of the two
+# sums being compared, so subsets that tie the best value are still solved.
+_PRUNE_RTOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -69,12 +80,21 @@ class EvaObjective:
             raise ValueError(f"objective has {len(self.weights)} weights, needs {n}")
         return self.weights
 
+    def values(self, radii) -> np.ndarray:
+        """Objective of each row of a radii array; the last axis indexes points.
+
+        This is the one place the formula is written out: the single-vector
+        value, the vertex scan and the subset upper bounds all use it.
+        """
+        r = np.asarray(radii, dtype=float)
+        theta = self.thetas(r.shape[-1])
+        return np.sum(math.pi * theta * np.exp(-2.0 * self.h * r) * r * r, axis=-1)
+
     def value(self, radii) -> float:
         r = np.atleast_1d(np.asarray(radii, dtype=float))
         if np.any(r < 0):
             raise ValueError("radii must be nonnegative")
-        theta = self.thetas(len(r))
-        return float(np.sum(math.pi * theta * np.exp(-2.0 * self.h * r) * r * r))
+        return float(self.values(r))
 
     def gradient(self, radii) -> np.ndarray:
         r = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -111,6 +131,8 @@ class EvaAResult:
     radii: np.ndarray
     method: str
     notes: tuple = ()
+    # Subsets whose eva was computed (maximize_eva calls); deterministic.
+    subsets_scored: int = 0
 
 
 def convexity_certified(reduced: ReducedDistanceMatrix) -> bool:
@@ -144,14 +166,10 @@ def maximize_eva(
         )
     poly = build_h_polytope(reduced)
     verts = enumerate_vertices(poly)
-    theta = objective.thetas(poly.n)
-    r = verts.vertices
-    values = np.sum(
-        math.pi * theta * np.exp(-2.0 * objective.h * r) * r * r, axis=1
-    )
+    values = objective.values(verts.vertices)
     best = int(np.argmax(values))  # first max in lex order: smallest radii win ties
     best_value = float(values[best])
-    best_radii = r[best].copy()
+    best_radii = verts.vertices[best].copy()
     certified = convexity_certified(reduced)
     attaining: int | None = best
     if not certified:
@@ -229,14 +247,29 @@ def evA_exact_from_matrix(
 ) -> EvaAResult:
     """Exact evA: maximize eva over every nonempty subset of the points.
 
-    Subset matrices are obtained by deleting rows/columns of the full
-    distance matrix (the boundary row/column is always kept).  Ties are
-    broken toward the smallest subset, then lexicographically; among
-    equal-value vertices the lexicographically smallest radii win.
+    Bound and prune: every subset S gets a cheap upper bound first.  The
+    polytope of S has r_i + r_j <= R_ij and r_j >= 0, so each radius obeys
+    r_i <= u_i(S) = min over members j != i of R_ij (R is the reduced
+    matrix of the full set, whose entries equal those of every subset's
+    own reduced matrix); a singleton's budget is min(boundary distance,
+    1/h).  f(r) = r^2 exp(-2 h r) increases on [0, 1/h], so
+    UB(S) = sum_i pi theta_i f(u_i(S)) bounds eva(S), also when the local
+    ascent runs outside the convex regime.  Subsets are solved in order
+    of decreasing UB, and the search stops at the first subset whose UB
+    is below the best value found by more than a 1e-12 relative rounding
+    margin; all later subsets have smaller bounds.  The budgets are
+    widened by the vertex enumerator's feasibility tolerance, so radii
+    that meet the constraints only to within it stay under the bound.
+
+    Pruning changes no result: ties are broken toward the smallest
+    subset, then lexicographically, exactly as a scan of every subset in
+    that order would; among equal-value vertices the lexicographically
+    smallest radii win.  subsets_scored counts the subsets solved.
 
     Raises:
         SubsetSizeError: when the point count exceeds max_n; use the
             greedy search (evA_algorithm1) for larger instances.
+        UnboundedInstanceError: when some point has no boundary and h = 0.
     """
     n = matrix.n
     if n > max_n:
@@ -244,19 +277,68 @@ def evA_exact_from_matrix(
             f"{n} points would need {2 ** n - 1} subsets (max_n={max_n}); "
             "use evA_algorithm1 for larger instances"
         )
-    full_weights = None if weights is None else np.asarray(weights, dtype=float)
-    best: EvaAResult | None = None
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            reduced = reduce_distance_matrix(matrix.submatrix(subset), h)
-            obj = EvaObjective(
-                h, None if full_weights is None else full_weights[list(subset)]
-            )
-            res = maximize_eva(reduced, obj)
-            if best is None or res.value > best.value:
-                best = EvaAResult(res.value, subset, res.radii, "exact")
+    objective = EvaObjective(h, weights)
+    reduced = reduce_distance_matrix(matrix, h)
+    subsets = [
+        subset
+        for size in range(1, n + 1)
+        for subset in itertools.combinations(range(n), size)
+    ]
+    bounds = _subset_upper_bounds(matrix, reduced, objective, subsets)
+    best_k, best, scored = -1, None, 0
+    for k in np.argsort(-bounds, kind="stable"):
+        if best is not None and bounds[k] * (1.0 + _PRUNE_RTOL) < best.value:
+            break
+        subset = subsets[k]
+        if len(subset) == 1:
+            sub_reduced = reduce_distance_matrix(matrix.submatrix(subset), h)
+        else:
+            sub_reduced = reduced.submatrix(subset)
+        res = maximize_eva(sub_reduced, objective.subset(subset))
+        scored += 1
+        # Subsets are indexed smallest first, then lexicographically.
+        if best is None or res.value > best.value or (
+            res.value == best.value and k < best_k
+        ):
+            best_k, best = k, res
     assert best is not None
-    return best
+    return EvaAResult(
+        best.value, subsets[best_k], best.radii, "exact", subsets_scored=scored
+    )
+
+
+def _subset_upper_bounds(
+    matrix: DistanceMatrix,
+    reduced: ReducedDistanceMatrix,
+    objective: EvaObjective,
+    subsets: list,
+) -> np.ndarray:
+    """UB(S) = sum over i in S of pi theta_i f(u_i(S)) for every subset.
+
+    +inf for a subset holding a point with an infinite budget (no
+    boundary and h = 0); solving that singleton raises the unbounded
+    instance error, as the full scan would.
+    """
+    n = matrix.n
+    r_max = reduced.r_max
+    members = np.zeros((len(subsets), n), dtype=bool)
+    for k, subset in enumerate(subsets):
+        members[k, list(subset)] = True
+    pair = np.where(np.eye(n, dtype=bool), np.inf, reduced.entries)
+    budgets = np.min(np.where(members[:, None, :], pair[None], np.inf), axis=2)
+    single = np.minimum(matrix.boundary_distances, r_max)
+    budgets = np.where(members.sum(axis=1)[:, None] == 1, single, budgets)
+    # A vertex meets r_i + r_j <= R_ij and r_j >= 0 only to within the
+    # enumerator's feasibility tolerance, so r_i can exceed u_i by twice it.
+    # The tolerance scales with the largest right-hand side of any subset
+    # polytope, which is among these values.
+    rhs = np.concatenate([reduced.entries.ravel(), single, [r_max]])
+    widen = 2.0 * FEASIBILITY_TOL * max(1.0, float(np.max(rhs[np.isfinite(rhs)])))
+    budgets = np.where(members, np.minimum(budgets + widen, r_max), 0.0)
+    unbounded = np.any(np.isinf(budgets), axis=1)
+    bounds = objective.values(np.where(np.isinf(budgets), 0.0, budgets))
+    bounds[unbounded] = np.inf
+    return bounds
 
 
 def evA_exact(
@@ -272,33 +354,28 @@ def evA_algorithm1_from_matrix(
 ) -> EvaAResult:
     """Greedy evA search that repeatedly discards collapsed points.
 
-    Each round scans the polytope vertices of the current point set and
-    keeps the best one.  If the value fails to improve on the best seen
-    so far the search stops; otherwise all points with zero radius at the
-    optimum are dropped (or, if none collapsed, the single point with the
-    smallest radius).  The result never exceeds exact evA, since every
-    visited subset is also scored by the exhaustive search.
+    Each round maximizes eva over the current point set with maximize_eva,
+    so every visited subset is scored exactly as the exact search scores
+    it (including the local ascent outside the convex regime).  If the
+    value fails to improve on the best seen so far the search stops;
+    otherwise all points with zero radius at the optimum are dropped (or,
+    if none collapsed, the single point with the smallest radius).  The
+    result never exceeds exact evA, since every visited subset is also a
+    candidate of the exact search.
     """
-    full_weights = None if weights is None else np.asarray(weights, dtype=float)
+    objective = EvaObjective(h, weights)
     active = list(range(matrix.n))
     best: EvaAResult | None = None
     notes: list[str] = []
+    scored = 0
     while active:
         reduced = reduce_distance_matrix(matrix.submatrix(active), h)
-        obj = EvaObjective(
-            h, None if full_weights is None else full_weights[active]
-        )
-        poly = build_h_polytope(reduced)
-        verts = enumerate_vertices(poly)
-        theta = obj.thetas(poly.n)
-        r = verts.vertices
-        values = np.sum(math.pi * theta * np.exp(-2.0 * h * r) * r * r, axis=1)
-        pick = int(np.argmax(values))
-        value = float(values[pick])
-        radii = r[pick].copy()
-        if best is not None and value <= best.value:
+        res = maximize_eva(reduced, objective.subset(active))
+        scored += 1
+        radii = res.radii
+        if best is not None and res.value <= best.value:
             break
-        best = EvaAResult(value, tuple(active), radii, "algorithm1")
+        best = EvaAResult(res.value, tuple(active), radii, "algorithm1")
         zero_tol = _ZERO_RADIUS_RTOL * max(1.0, float(np.max(reduced.entries)))
         collapsed = [i for i, ri in enumerate(radii) if ri <= zero_tol]
         if collapsed:
@@ -315,6 +392,7 @@ def evA_algorithm1_from_matrix(
         active = [p for i, p in enumerate(active) if i not in removed]
     assert best is not None
     best.notes = tuple(notes)
+    best.subsets_scored = scored
     return best
 
 

@@ -111,11 +111,13 @@ class FoamMesh:
         lo * n_vertices + hi, so one 1-D unique replaces a row-wise one.
         """
         nv = len(self.vertices)
-        e = np.sort(self.triangles[:, [(0, 1), (1, 2), (2, 0)]].reshape(-1, 2), axis=1)
-        keys, counts = np.unique(
-            e[:, 0].astype(np.int64) * nv + e[:, 1], return_counts=True
-        )
+        keys, counts = np.unique(self._edge_keys(), return_counts=True)
         return np.stack([keys // nv, keys % nv], axis=1), counts
+
+    def _edge_keys(self) -> np.ndarray:
+        """int64 key of each triangle's edges (0-1, 1-2, 2-0), triangle-major."""
+        e = np.sort(self.triangles[:, [(0, 1), (1, 2), (2, 0)]].reshape(-1, 2), axis=1)
+        return e[:, 0].astype(np.int64) * len(self.vertices) + e[:, 1]
 
     def total_area(self) -> float:
         return pairwise_sum(_triangle_areas(self.vertices[self.triangles]))
@@ -427,16 +429,21 @@ def plateau_angle_check(mesh: FoamMesh, angle_tol_degrees: float = 1.0) -> Angle
     ambiguous incidences are skipped with a warning.
     """
     edges, counts = mesh.edge_use_counts()
+    triple = edges[counts == 3]
+    triple_edges = [tuple(e) for e in triple.tolist()]
+    # Triangles using each triple edge, in triangle order; only triple
+    # edges are mapped, so a mesh without any skips the scan entirely.
     edge_tris: dict[tuple[int, int], list[int]] = {}
-    for t_idx, tri in enumerate(mesh.triangles):
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            key = (min(tri[i], tri[j]), max(tri[i], tri[j]))
-            edge_tris.setdefault(key, []).append(t_idx)
+    if triple_edges:
+        nv = len(mesh.vertices)
+        keys = mesh._edge_keys()
+        slots = np.flatnonzero(np.isin(keys, triple[:, 0] * nv + triple[:, 1]))
+        for slot, key in zip(slots.tolist(), keys[slots].tolist()):
+            edge_tris.setdefault(divmod(key, nv), []).append(slot // 3)
 
     warnings: list[str] = []
     edge_devs: list[float] = []
     checked_edges = 0
-    triple_edges = [tuple(e) for e, c in zip(edges, counts) if c == 3]
     for (u, v) in triple_edges:
         axis = mesh.vertices[v] - mesh.vertices[u]
         axis = axis / np.linalg.norm(axis)
@@ -467,11 +474,7 @@ def plateau_angle_check(mesh: FoamMesh, angle_tol_degrees: float = 1.0) -> Angle
     for (u, v) in triple_edges:
         incident.setdefault(u, []).append(v)
         incident.setdefault(v, []).append(u)
-    boundary_vertices = set()
-    for e, c in zip(edges, counts):
-        if c == 1:
-            boundary_vertices.add(int(e[0]))
-            boundary_vertices.add(int(e[1]))
+    boundary_vertices = set(edges[counts == 1].ravel().tolist())
 
     tetra_deg = math.degrees(ARCCOS_THIRD)
     vertex_devs: list[float] = []

@@ -44,6 +44,8 @@ def test_eva_exact_worked_instance(instance_path, tmp_path):
     assert report["method"] == "exact"
     assert report["subset"] == [0]
     assert report["evA"] == pytest.approx(16.0 * THETA_V_PI, rel=1e-12)
+    assert report["subsets_total"] == 7
+    assert 1 <= report["subsets_scored"] <= 7
 
 
 def test_eva_exact_from_distance_matrix(tmp_path):
@@ -104,6 +106,13 @@ def test_unbounded_instance_exits_3(tmp_path):
     path = tmp_path / "unbounded.json"
     path.write_text(json.dumps(doc))
     assert run(["eva", "--input", str(path)]) == 3
+
+
+def test_unbounded_instance_eva_exact_exits_3(tmp_path):
+    doc = {"points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "domain": {"type": "all"}, "h": 0.0}
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(doc))
+    assert run(["eva-exact", "--input", str(path)]) == 3
 
 
 def test_bounds_kelvin(tmp_path):

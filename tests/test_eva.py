@@ -1,17 +1,24 @@
 """The extrinsic vertex area objective, its maximizer, and subset search."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from foambounds import (
+    THETA_EDGE,
+    THETA_FACE,
+    THETA_VERTEX,
+    AllSpace,
     Ball,
+    Box,
     DistanceMatrix,
     EvaObjective,
     PointSet,
     ReducedDistanceMatrix,
     SubsetSizeError,
+    UnboundedInstanceError,
     build_distance_matrix,
     build_h_polytope,
     convexity_certified,
@@ -26,7 +33,12 @@ from foambounds import (
 )
 from foambounds.geometry import THETA_V_PI
 
-from conftest import WORKED_REDUCED, random_instance
+from conftest import (
+    WORKED_REDUCED,
+    random_distance_matrix,
+    random_instance,
+    random_point_set,
+)
 
 THETA_PI = THETA_V_PI  # theta_vertex * pi = 3 * arccos(-1/3)
 
@@ -265,6 +277,107 @@ def test_evA_exact_value_matches_surviving_subset():
         assert res.value == pytest.approx(independent, rel=1e-9)
 
 
+def exhaustive_evA(matrix, h, weights=None):
+    """Test oracle: solve every subset in (size, lex) order, keep the first max."""
+    best = None
+    for size in range(1, matrix.n + 1):
+        for subset in itertools.combinations(range(matrix.n), size):
+            reduced = reduce_distance_matrix(matrix.submatrix(subset), h)
+            objective = EvaObjective(
+                h, None if weights is None else np.asarray(weights)[list(subset)]
+            )
+            res = maximize_eva(reduced, objective)
+            if best is None or res.value > best[0]:
+                best = (res.value, subset, res.radii)
+    return best
+
+
+def assert_matches_oracle(matrix, h, weights=None):
+    res = evA_exact_from_matrix(matrix, h, weights)
+    value, subset, radii = exhaustive_evA(matrix, h, weights)
+    assert res.value == value
+    assert res.surviving_subset == subset
+    assert np.array_equal(res.radii, radii)
+    assert 1 <= res.subsets_scored <= 2 ** matrix.n - 1
+    return res
+
+
+def test_evA_exact_pruned_matches_exhaustive_oracle():
+    rng = np.random.default_rng(2024)
+    thetas = np.array([THETA_VERTEX, THETA_EDGE, THETA_FACE])
+    for h in (0.0, 0.3, 3.0):
+        for ball_radius in (1.0, 3.0):
+            for _ in range(3):
+                n = int(rng.integers(1, 7))
+                matrix = random_distance_matrix(rng, n, ball_radius)
+                weights = rng.choice(thetas, size=n) if rng.random() < 0.5 else None
+                assert_matches_oracle(matrix, h, weights)
+
+
+def test_evA_exact_tie_prefers_smaller_subset():
+    # Mirror pair at distance 1, each 0.5 from the sphere, h = 0: the pair's
+    # bound is twice a singleton's, so the pair is solved first, yet both
+    # singletons and the pair reach the same value and (0,) must win.
+    points = PointSet(np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]))
+    matrix = build_distance_matrix(points, Ball(np.zeros(3), 1.0))
+    res = assert_matches_oracle(matrix, 0.0)
+    assert res.surviving_subset == (0,)
+    assert maximize_eva(reduce_distance_matrix(matrix, 0.0)).value == res.value
+    assert res.subsets_scored == 3
+
+
+def test_evA_exact_mirror_tie_is_lexicographic():
+    # Points i and i + 3 are mirror images in x, so every subset has a
+    # mirror subset with a bitwise equal value; the lexicographically
+    # first of the tied subsets must win.
+    rng = np.random.default_rng(5)
+    for h in (0.0, 0.3):
+        half = np.abs(random_point_set(rng, 3, ball_radius=3.0).points)
+        points = PointSet(np.vstack([half, half * [-1.0, 1.0, 1.0]]))
+        matrix = build_distance_matrix(points, Ball(np.zeros(3), 3.0))
+        res = assert_matches_oracle(matrix, h)
+        mirror = tuple(sorted((i + 3) % 6 for i in res.surviving_subset))
+        assert mirror != res.surviving_subset
+        assert res.surviving_subset < mirror
+        twin = maximize_eva(reduce_distance_matrix(matrix.submatrix(mirror), h))
+        assert twin.value == res.value
+
+
+def test_evA_exact_single_point_value_equals_bound():
+    # A lone point's bound is its own value: it is solved, and only it.
+    points = PointSet(np.array([[0.2, 0.0, 0.0]]))
+    matrix = build_distance_matrix(points, Ball(np.zeros(3), 1.0))
+    for h in (0.0, 0.3, 3.0):
+        res = assert_matches_oracle(matrix, h)
+        assert res.subsets_scored == 1
+        budget = min(0.8, math.inf if h == 0.0 else 1.0 / h)
+        assert res.radii == pytest.approx([budget], rel=1e-15)
+
+
+def test_evA_exact_point_on_boundary():
+    # Point 0 sits on a box face: its budget and its upper bound are zero.
+    points = PointSet(np.array([[0.0, 0.5, 0.5], [0.5, 0.5, 0.5], [0.8, 0.3, 0.6]]))
+    matrix = build_distance_matrix(points, Box(np.zeros(3), np.ones(3)))
+    assert matrix.boundary_distances[0] == 0.0
+    for h in (0.0, 0.3, 3.0):
+        res = assert_matches_oracle(matrix, h)
+        assert 0 not in res.surviving_subset
+
+
+def test_evA_exact_unbounded_instance_raises():
+    for n in (1, 3):
+        points = PointSet(np.eye(3)[:n])
+        with pytest.raises(UnboundedInstanceError):
+            evA_exact(points, AllSpace(), h=0.0)
+
+
+def test_evA_exact_prunes_subsets_at_h_zero():
+    rng = np.random.default_rng(6)
+    matrix = random_distance_matrix(rng, 6)
+    res = assert_matches_oracle(matrix, 0.0)
+    assert res.subsets_scored < 63
+
+
 # --- greedy evA -------------------------------------------------------------
 
 
@@ -327,3 +440,16 @@ def test_algorithm1_value_matches_surviving_subset():
         sub = reduce_distance_matrix(matrix.submatrix(res.surviving_subset), 0.0)
         best_there = maximize_eva(sub).value
         assert res.value == pytest.approx(best_there, rel=1e-9)
+
+
+def test_algorithm1_scores_subsets_like_exact_outside_convex_regime():
+    # At h = 3 in a radius-3 ball the local ascent runs; greedy must report
+    # exactly what maximize_eva gives its surviving subset.
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        matrix = random_distance_matrix(rng, int(rng.integers(2, 6)), 3.0)
+        res = evA_algorithm1_from_matrix(matrix, 3.0)
+        sub = reduce_distance_matrix(matrix.submatrix(res.surviving_subset), 3.0)
+        assert res.value == maximize_eva(sub).value
+        assert res.value <= evA_exact_from_matrix(matrix, 3.0).value
+        assert res.subsets_scored >= 1
