@@ -28,10 +28,10 @@ from .geometry import (
     reduce_distance_matrix,
 )
 from .polytope import (
-    FEASIBILITY_TOL,
     HPolytope,
     build_h_polytope,
     enumerate_vertices,
+    feasibility_tol_for,
     interior_point,
 )
 
@@ -249,10 +249,11 @@ def evA_exact_from_matrix(
 
     Bound and prune: every subset S gets a cheap upper bound first.  The
     polytope of S has r_i + r_j <= R_ij and r_j >= 0, so each radius obeys
-    r_i <= u_i(S) = min over members j != i of R_ij (R is the reduced
-    matrix of the full set, whose entries equal those of every subset's
-    own reduced matrix); a singleton's budget is min(boundary distance,
-    1/h).  f(r) = r^2 exp(-2 h r) increases on [0, 1/h], so
+    r_i <= u_i(S) = min over members j != i of R_ij; a singleton's
+    budget is min(boundary distance, 1/h).  R is the reduced matrix of
+    the full set, reduced once: a reduced entry depends only on its own
+    pair of points, so it equals the entry of the subset's polytope.
+    f(r) = r^2 exp(-2 h r) increases on [0, 1/h], so
     UB(S) = sum_i pi theta_i f(u_i(S)) bounds eva(S), also when the local
     ascent runs outside the convex regime.  Subsets are solved in order
     of decreasing UB, and the search stops at the first subset whose UB
@@ -290,10 +291,7 @@ def evA_exact_from_matrix(
         if best is not None and bounds[k] * (1.0 + _PRUNE_RTOL) < best.value:
             break
         subset = subsets[k]
-        if len(subset) == 1:
-            sub_reduced = reduce_distance_matrix(matrix.submatrix(subset), h)
-        else:
-            sub_reduced = reduced.submatrix(subset)
+        sub_reduced = reduce_distance_matrix(matrix.submatrix(subset), h)
         res = maximize_eva(sub_reduced, objective.subset(subset))
         scored += 1
         # Subsets are indexed smallest first, then lexicographically.
@@ -333,7 +331,7 @@ def _subset_upper_bounds(
     # The tolerance scales with the largest right-hand side of any subset
     # polytope, which is among these values.
     rhs = np.concatenate([reduced.entries.ravel(), single, [r_max]])
-    widen = 2.0 * FEASIBILITY_TOL * max(1.0, float(np.max(rhs[np.isfinite(rhs)])))
+    widen = 2.0 * feasibility_tol_for(np.max(rhs[np.isfinite(rhs)]))
     budgets = np.where(members, np.minimum(budgets + widen, r_max), 0.0)
     unbounded = np.any(np.isinf(budgets), axis=1)
     bounds = objective.values(np.where(np.isinf(budgets), 0.0, budgets))
@@ -367,11 +365,9 @@ def evA_algorithm1_from_matrix(
     active = list(range(matrix.n))
     best: EvaAResult | None = None
     notes: list[str] = []
-    scored = 0
     while active:
         reduced = reduce_distance_matrix(matrix.submatrix(active), h)
         res = maximize_eva(reduced, objective.subset(active))
-        scored += 1
         radii = res.radii
         if best is not None and res.value <= best.value:
             break
@@ -392,7 +388,6 @@ def evA_algorithm1_from_matrix(
         active = [p for i, p in enumerate(active) if i not in removed]
     assert best is not None
     best.notes = tuple(notes)
-    best.subsets_scored = scored
     return best
 
 

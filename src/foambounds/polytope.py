@@ -32,6 +32,11 @@ from .geometry import ReducedDistanceMatrix
 FEASIBILITY_TOL = 1e-9
 DEDUP_TOL = 1e-7
 
+
+def feasibility_tol_for(b_max: float) -> float:
+    """Absolute feasibility tolerance for a system whose largest |b| is b_max."""
+    return FEASIBILITY_TOL * max(1.0, float(b_max))
+
 # Row-subset count above which the combinatorial scan hands over to the
 # dual-transform route (or refuses, if used as a forced fallback).
 _AUTO_COMBINATORIAL_LIMIT = 20_000
@@ -99,7 +104,7 @@ class HPolytope:
         return self.M.shape[0]
 
     def feasibility_tol(self) -> float:
-        return FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(self.b))))
+        return feasibility_tol_for(np.max(np.abs(self.b)))
 
     def contains(self, r, tol: float | None = None) -> bool:
         if tol is None:
@@ -215,7 +220,7 @@ def enumerate_vertices(
     if method not in ("auto", "combinatorial", "dual"):
         raise ValueError(f"unknown method {method!r}")
     b_scale = max(1.0, float(np.max(np.abs(poly.b))))
-    feas_tol = FEASIBILITY_TOL * b_scale
+    feas_tol = feasibility_tol_for(b_scale)
     dedup = tol * b_scale
 
     if poly.n == 1:

@@ -452,4 +452,3 @@ def test_algorithm1_scores_subsets_like_exact_outside_convex_regime():
         sub = reduce_distance_matrix(matrix.submatrix(res.surviving_subset), 3.0)
         assert res.value == maximize_eva(sub).value
         assert res.value <= evA_exact_from_matrix(matrix, 3.0).value
-        assert res.subsets_scored >= 1
