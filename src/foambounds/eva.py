@@ -136,15 +136,21 @@ class EvaAResult:
 
 
 def convexity_certified(reduced: ReducedDistanceMatrix) -> bool:
-    """True when the objective is certifiably convex on the polytope."""
+    """True when the best polytope vertex is certifiably the maximum.
+
+    For N >= 2 this holds when the objective is convex on the polytope:
+    h = 0, or every off-diagonal budget is at most (2 - sqrt(2))/h.  A
+    single point needs no convexity: its region is the interval
+    [0, d_11], and f(r) = r^2 e^(-2hr) increases on [0, 1/h], so the
+    interval end is the maximum whenever d_11 <= 1/h (which
+    reduce_distance_matrix guarantees by capping every entry at r_max).
+    """
     if reduced.h == 0.0:
         return True
     if reduced.n == 1:
-        bound = float(reduced.entries[0, 0])
-    else:
-        off = ~np.eye(reduced.n, dtype=bool)
-        bound = float(np.max(reduced.entries[off]))
-    return bound <= CONVEXITY_COEFF / reduced.h
+        return float(reduced.entries[0, 0]) <= reduced.r_max
+    off = ~np.eye(reduced.n, dtype=bool)
+    return float(np.max(reduced.entries[off])) <= CONVEXITY_COEFF / reduced.h
 
 
 def maximize_eva(
@@ -152,8 +158,9 @@ def maximize_eva(
 ) -> EvaResult:
     """Maximize eva over the admissible-radii polytope.
 
-    In the certified-convex regime (h = 0, or every reduced entry at most
-    (2 - sqrt(2))/h) the best polytope vertex is the exact maximum.
+    In the certified regime (h = 0, every reduced entry at most
+    (2 - sqrt(2))/h, or a single point; see convexity_certified) the best
+    polytope vertex is the exact maximum.
     Otherwise the vertex scan is augmented with deterministic multi-start
     local ascent and the better of the two is returned; either way the
     value is attained by feasible radii, hence a valid area bound.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DegeneratePolytopeError, NumericalError, UnboundedInstanceError
 from .geometry import ReducedDistanceMatrix
@@ -49,6 +49,10 @@ _CHUNK = 65_536
 _DUAL_MIN_INRADIUS = 1e-6
 
 
+# Per tag kind: how many +1 and -1 entries (in that order) its row holds.
+_ROW_PATTERN = {"pair": (2, 0), "nonneg": (0, 1), "cap": (1, 0)}
+
+
 class _DualUntrusted(Exception):
     """Internal: the dual transform would be numerically unreliable."""
 
@@ -74,17 +78,13 @@ class HPolytope:
             raise ValueError("need one tag per row")
         if not np.all(np.isin(self.M, (-1.0, 0.0, 1.0))):
             raise ValueError("M entries must be in {-1, 0, +1}")
-        for row, tag in zip(self.M, self.row_tags):
-            kind = tag[0]
-            pos = int(np.sum(row == 1.0))
-            neg = int(np.sum(row == -1.0))
-            ok = (
-                (kind == "pair" and pos == 2 and neg == 0)
-                or (kind == "nonneg" and pos == 0 and neg == 1)
-                or (kind == "cap" and pos == 1 and neg == 0)
-            )
-            if not ok:
-                raise ValueError(f"row pattern does not match tag {tag}")
+        want = np.array(
+            [_ROW_PATTERN.get(tag[0], (-1, -1)) for tag in self.row_tags], dtype=int
+        ).reshape(-1, 2)
+        have = np.sum(self.M[:, :, None] == np.array([1.0, -1.0]), axis=1)
+        bad = np.flatnonzero(np.any(have != want, axis=1))
+        if bad.size:
+            raise ValueError(f"row pattern does not match tag {self.row_tags[bad[0]]}")
         if np.any(self.b < 0):
             raise ValueError("b must be nonnegative (0 must be feasible)")
         # Bounded iff every coordinate is capped above by some row.
@@ -151,29 +151,18 @@ def build_h_polytope(reduced: ReducedDistanceMatrix) -> HPolytope:
             np.array([d11, 0.0]),
             (("cap", 0), ("nonneg", 0)),
         )
-    rows, rhs, tags = [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = np.zeros(n)
-            row[i] = 1.0
-            row[j] = 1.0
-            rows.append(row)
-            rhs.append(float(reduced.entries[i, j]))
-            tags.append(("pair", i, j))
-    for i in range(n):
-        row = np.zeros(n)
-        row[i] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-        tags.append(("nonneg", i))
+    pairs = list(itertools.combinations(range(n), 2))
+    iu, ju = np.array(pairs).T
+    eye = np.eye(n)
+    rows = [eye[iu] + eye[ju], np.diag(np.full(n, -1.0))]
+    rhs = [reduced.entries[iu, ju], np.zeros(n)]
+    tags = [("pair", i, j) for i, j in pairs]
+    tags += [("nonneg", i) for i in range(n)]
     if math.isfinite(reduced.r_max):
-        for i in range(n):
-            row = np.zeros(n)
-            row[i] = 1.0
-            rows.append(row)
-            rhs.append(reduced.r_max)
-            tags.append(("cap", i))
-    return HPolytope(np.array(rows), np.array(rhs), tuple(tags))
+        rows.append(eye)
+        rhs.append(np.full(n, reduced.r_max))
+        tags += [("cap", i) for i in range(n)]
+    return HPolytope(np.vstack(rows), np.concatenate(rhs), tuple(tags))
 
 
 def interior_point(poly: HPolytope) -> np.ndarray:
@@ -219,6 +208,8 @@ def enumerate_vertices(
     """
     if method not in ("auto", "combinatorial", "dual"):
         raise ValueError(f"unknown method {method!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"dedup tolerance must be >= 0, got {tol!r}")
     b_scale = max(1.0, float(np.max(np.abs(poly.b))))
     feas_tol = feasibility_tol_for(b_scale)
     dedup = tol * b_scale
@@ -307,23 +298,24 @@ def _dual_transform_vertices(poly: HPolytope, feas_tol: float) -> np.ndarray:
 
 
 def _dedup_lex(verts: np.ndarray, dedup_tol: float) -> np.ndarray:
-    """Lex-sort rows and drop near-duplicates (inf-norm within tol).
+    """Lex-sort rows and drop near-duplicates, greedily in sorted order.
 
-    After sorting, any two rows within tol of each other also have first
-    coordinates within tol, so a backward window scan over the sorted
-    order sees every duplicate pair.
+    A row is dropped iff it lies within dedup_tol (inf-norm, inclusive) of
+    an earlier row of the sorted order that was itself kept.  An exact
+    repeat of the row before it always shares that row's fate, so repeats
+    are cut first.  One k-d tree query then lists every close pair of the
+    remaining rows (i < j in sorted order); visiting the pairs by
+    increasing j settles each row's fate before any later row asks about
+    it, so only close pairs are ever looked at.  Needs dedup_tol >= 0.
     """
-    order = np.lexsort(verts.T[::-1])
-    verts = verts[order]
-    kept: list[np.ndarray] = []
-    for row in verts:
-        dup = False
-        for prev in reversed(kept):
-            if row[0] - prev[0] > dedup_tol:
-                break
-            if np.max(np.abs(row - prev)) <= dedup_tol:
-                dup = True
-                break
-        if not dup:
-            kept.append(row)
-    return np.array(kept)
+    verts = verts[np.lexsort(verts.T[::-1])]
+    distinct = np.ones(len(verts), dtype=bool)
+    distinct[1:] = np.any(verts[1:] != verts[:-1], axis=1)
+    verts = verts[distinct]
+    pairs = cKDTree(verts).query_pairs(dedup_tol, p=np.inf, output_type="ndarray")
+    pairs = pairs[np.argsort(pairs[:, 1])]
+    keep = [True] * len(verts)
+    for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
+        if keep[i]:
+            keep[j] = False
+    return verts[np.array(keep, dtype=bool)]

@@ -99,6 +99,19 @@ def test_maximize_single_point():
     assert res.radii == pytest.approx([4.0])
 
 
+def test_single_point_above_convexity_coefficient_is_certified():
+    # 3 > (2 - sqrt(2))/0.3, but r^2 e^(-2hr) increases up to 1/h = 3.33,
+    # so the interval end is the proven maximum.
+    reduced = ReducedDistanceMatrix(np.array([[3.0]]), 0.3)
+    assert convexity_certified(reduced)
+    res = maximize_eva(reduced)
+    assert res.convexity_certified
+    assert np.array_equal(res.radii, [3.0])
+    assert res.value == eva_value([3.0], EvaObjective(0.3))
+    # A budget beyond 1/h is past the peak: not certified.
+    assert not convexity_certified(ReducedDistanceMatrix(np.array([[4.0]]), 0.3))
+
+
 def test_maximize_h_mismatch_rejected():
     with pytest.raises(ValueError):
         maximize_eva(worked_reduced(), EvaObjective(0.5))

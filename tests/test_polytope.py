@@ -17,6 +17,7 @@ from foambounds import (
     interior_point,
     reduce_distance_matrix,
 )
+from foambounds.polytope import _dedup_lex
 
 from conftest import WORKED_REDUCED, random_distance_matrix
 
@@ -113,6 +114,46 @@ def test_build_two_points_with_cap():
     assert same_vertex_sets(verts.vertices, square, 1e-9)
 
 
+def loop_h_rows(reduced):
+    """build_h_polytope's rows, tags and right-hand sides, one row at a time."""
+    n = reduced.n
+    rows, rhs, tags = [], [], []
+    for i, j in itertools.combinations(range(n), 2):
+        row = np.zeros(n)
+        row[[i, j]] = 1.0
+        rows.append(row)
+        rhs.append(reduced.entries[i, j])
+        tags.append(("pair", i, j))
+    for i in range(n):
+        row = np.zeros(n)
+        row[i] = -1.0
+        rows.append(row)
+        rhs.append(0.0)
+        tags.append(("nonneg", i))
+    if reduced.h > 0:
+        for i in range(n):
+            row = np.zeros(n)
+            row[i] = 1.0
+            rows.append(row)
+            rhs.append(reduced.r_max)
+            tags.append(("cap", i))
+    return np.array(rows), np.array(rhs), tuple(tags)
+
+
+def test_build_rows_match_loop_reference():
+    rng = np.random.default_rng(11)
+    for n in range(2, 8):
+        for h in (0.0, 1.0):
+            reduced = reduce_distance_matrix(random_distance_matrix(rng, n), h)
+            poly = build_h_polytope(reduced)
+            m, b, tags = loop_h_rows(reduced)
+            assert np.array_equal(poly.M, m)
+            # No -0.0 entries: --dump-polytope would print them.
+            assert np.array_equal(np.signbit(poly.M), np.signbit(m))
+            assert np.array_equal(poly.b, b)
+            assert poly.row_tags == tags
+
+
 def test_hpolytope_rejects_unbounded():
     with pytest.raises(UnboundedInstanceError):
         HPolytope(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]),
@@ -123,6 +164,11 @@ def test_hpolytope_rejects_unbounded():
 def test_hpolytope_rejects_bad_entries():
     with pytest.raises(ValueError):
         HPolytope(np.array([[2.0]]), np.array([1.0]), (("cap", 0),))
+    # A row whose pattern contradicts its tag; the first such tag is named.
+    m = np.array([[1.0, 1.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tags = (("pair", 0, 1), ("cap", 0), ("nonneg", 1), ("cap", 1))
+    with pytest.raises(ValueError, match=r"tag \('cap', 0\)"):
+        HPolytope(m, np.ones(4), tags)
 
 
 # --- enumeration ------------------------------------------------------------
@@ -135,6 +181,8 @@ def test_enumerate_worked_example_vertices():
     # Deterministic lexicographic order on the default path.
     out = enumerate_vertices(worked_polytope()).vertices
     assert np.array_equal(out, WORKED_VERTICES)
+    with pytest.raises(ValueError):
+        enumerate_vertices(worked_polytope(), tol=-1e-7)
 
 
 def test_printed_point_is_not_extreme():
@@ -226,6 +274,47 @@ def test_convex_hull_closure():
                       bounds=[(0, None)] * len(verts), method="highs")
         assert res.success, "feasible point is not a convex combination of vertices"
         assert np.max(np.abs(a_eq @ res.x - b_eq)) <= 1e-7
+
+
+# --- deduplication ----------------------------------------------------------
+
+
+def greedy_dedup_oracle(verts, tol):
+    """Sort rows lexicographically, then keep a row unless some earlier kept
+    row is within tol of it in the inf-norm.  O(K^2), from the definition."""
+    kept = []
+    for row in sorted(map(tuple, np.asarray(verts, dtype=float).tolist())):
+        if not any(max(abs(x - y) for x, y in zip(row, k)) <= tol for k in kept):
+            kept.append(row)
+    return np.array(kept)
+
+
+def test_dedup_matches_greedy_oracle():
+    rng = np.random.default_rng(5)
+    tol = 0.25  # a power of two, so the offsets below are exact
+    base = rng.integers(0, 5, size=(40, 4)).astype(float)
+    a = np.array([0.3, 0.1, 0.7])
+    # Small coordinates keep a 1e-16 jitter above their spacing.
+    small = 1e-3 * base[rng.integers(0, 40, 200)]
+    cases = {
+        "exact duplicates": (base[rng.integers(0, 40, 200)], tol),
+        "jittered clusters": (small + rng.normal(scale=1e-16, size=small.shape), 1e-7),
+        "exactly tol apart": (np.vstack([base, base + tol, base + 2 * tol]), tol),
+        "first coordinate all zero": (
+            np.column_stack([np.zeros(400), rng.integers(0, 8, size=(400, 2)) * (0.6 * tol)]),
+            tol,
+        ),
+        "no close pairs": (rng.permutation(base[:, :1] + 10.0 * np.arange(40)[:, None]), tol),
+        "interval": (np.array([[3.0], [0.0]]), tol),
+        "chain": (np.array([a + 1.2 * tol, a, a + 0.6 * tol, a + 0.6 * tol, a]), tol),
+    }
+    for name, (verts, t) in cases.items():
+        assert np.array_equal(_dedup_lex(verts, t), greedy_dedup_oracle(verts, t)), name
+    assert len(np.unique(cases["jittered clusters"][0], axis=0)) > len(np.unique(small, axis=0))
+    # The middle of the chain (and its repeat) is dropped, being near a, so
+    # it cannot merge a with a + 1.2 tol, which is farther than tol from a:
+    # both ends stay.
+    assert np.array_equal(_dedup_lex(cases["chain"][0], tol), np.array([a, a + 1.2 * tol]))
 
 
 # --- interior point ---------------------------------------------------------
