@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,73 +172,133 @@ def load_mesh(path) -> FoamMesh:
     return _load_off(path)
 
 
-def _off_content_lines(path: Path):
-    """Yield (1-based line number, content) with comments/blanks removed."""
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                yield lineno, text
-
-
 def _load_off(path: Path) -> FoamMesh:
-    lines = _off_content_lines(path)
+    """Parse an OFF file; each block of numbers is one numpy text read.
 
-    def next_line(what: str):
-        try:
-            return next(lines)
-        except StopIteration:
-            raise MeshFormatError(f"file ended before {what}") from None
+    Numbers follow numpy's text grammar: ASCII only, no ``_`` separators;
+    integers are an optional sign and digits that fit in int64, floats are
+    decimal (inf and nan included).  Only when a block fails to parse are
+    its lines walked one by one, to name the first bad line.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        raw = f.read().split("\n")
+    linenos: list[int] = []
+    lines: list[str] = []
+    for lineno, line in enumerate(raw, start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            linenos.append(lineno)
+            lines.append(text)
 
-    lineno, header = next_line("the OFF header")
-    if header != "OFF":
-        raise MeshFormatError(f"expected 'OFF' header, found {header!r}", lineno)
-    lineno, counts = next_line("the counts line")
-    parts = counts.split()
-    if len(parts) != 3:
-        raise MeshFormatError("counts line must be 'nv nf ne'", lineno)
-    try:
-        nv, nf, _ = (int(p) for p in parts)
-    except ValueError:
-        raise MeshFormatError("counts must be integers", lineno) from None
-    vertices = np.zeros((nv, 3))
-    for i in range(nv):
-        lineno, text = next_line(f"vertex {i}")
-        parts = text.split()
-        if len(parts) != 3:
-            raise MeshFormatError(f"vertex line needs 3 coordinates", lineno)
-        try:
-            vertices[i] = [float(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError("vertex coordinates must be numbers", lineno) from None
-    triangles = np.zeros((nf, 3), dtype=int)
-    for i in range(nf):
-        lineno, text = next_line(f"face {i}")
-        parts = text.split()
-        try:
-            k = int(parts[0])
-        except (ValueError, IndexError):
-            raise MeshFormatError("face line must start with a vertex count", lineno) from None
-        if k != 3:
-            raise MeshFormatError(f"only triangular faces are supported, got {k}", lineno)
-        if len(parts) < 4:
-            raise MeshFormatError("face line needs 3 vertex indices", lineno)
-        try:
-            triangles[i] = [int(p) for p in parts[1:4]]
-        except ValueError:
-            raise MeshFormatError("face indices must be integers", lineno) from None
+    if not lines:
+        raise MeshFormatError("file ended before the OFF header")
+    if lines[0] != "OFF":
+        raise MeshFormatError(f"expected 'OFF' header, found {lines[0]!r}", linenos[0])
+    if len(lines) < 2:
+        raise MeshFormatError("file ended before the counts line")
+    if len(lines[1].split()) != 3:
+        raise MeshFormatError("counts line must be 'nv nf ne'", linenos[1])
+    counts = _parse_line(lines[1], int)
+    if counts is None:
+        raise MeshFormatError("counts must be integers", linenos[1])
+    nv, nf = int(counts[0]), int(counts[1])
+    if nv < 0 or nf < 0:
+        raise MeshFormatError("counts must be nonnegative", linenos[1])
+
+    first = 2
+    vertices = _vertex_block(lines[first:first + nv], linenos[first:first + nv])
+    if len(vertices) < nv:
+        raise MeshFormatError(f"file ended before vertex {len(vertices)}")
+    first += nv
+    triangles = _face_block(lines[first:first + nf], linenos[first:first + nf])
+    if len(triangles) < nf:
+        raise MeshFormatError(f"file ended before face {len(triangles)}")
     return FoamMesh(vertices, triangles)
 
 
+def _loadtxt(lines: list[str], dtype, **kwargs) -> np.ndarray:
+    """np.loadtxt of whole lines; an integer read never accepts a float token.
+
+    Some numpy releases read a token such as ``2.7`` or ``nan`` for an
+    integer dtype as a float and cast it, with only a DeprecationWarning.
+    As an error, that warning becomes the ValueError that later releases
+    raise outright, whatever warning filters the caller has set.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "error", message=".*integer via a float", category=DeprecationWarning
+        )
+        return np.loadtxt(lines, dtype=dtype, comments=None, **kwargs)
+
+
+def _parse_line(text: str, dtype) -> np.ndarray | None:
+    """The numbers on one line, or None if one of them does not parse."""
+    try:
+        return _loadtxt([text], dtype, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _vertex_block(lines: list[str], linenos: list[int]) -> np.ndarray:
+    """(n, 3) coordinates of the vertex lines."""
+    if not lines:
+        return np.zeros((0, 3))
+    try:
+        table = _loadtxt(lines, float, ndmin=2)
+    except ValueError:
+        _raise_first_bad_vertex(lines, linenos)
+        raise
+    if table.shape[1] != 3:
+        _raise_first_bad_vertex(lines, linenos)
+    return table
+
+
+def _raise_first_bad_vertex(lines: list[str], linenos: list[int]) -> None:
+    for lineno, text in zip(linenos, lines):
+        if len(text.split()) != 3:
+            raise MeshFormatError("vertex line needs 3 coordinates", lineno)
+        if _parse_line(text, float) is None:
+            raise MeshFormatError("vertex coordinates must be numbers", lineno)
+
+
+def _face_block(lines: list[str], linenos: list[int]) -> np.ndarray:
+    """(n, 3) vertex indices of the face lines; tokens after the fourth are ignored."""
+    if not lines:
+        return np.zeros((0, 3), dtype=int)
+    try:
+        table = _loadtxt(lines, int, usecols=range(4), ndmin=2)
+    except ValueError:
+        _raise_first_bad_face(lines, linenos)
+        raise
+    if np.any(table[:, 0] != 3):
+        _raise_first_bad_face(lines, linenos)
+    return np.ascontiguousarray(table[:, 1:])
+
+
+def _raise_first_bad_face(lines: list[str], linenos: list[int]) -> None:
+    for lineno, text in zip(linenos, lines):
+        parts = text.split()
+        k = _parse_line(parts[0], int)
+        if k is None:
+            raise MeshFormatError("face line must start with a vertex count", lineno)
+        if k[0] != 3:
+            raise MeshFormatError(f"only triangular faces are supported, got {k[0]}", lineno)
+        if len(parts) < 4:
+            raise MeshFormatError("face line needs 3 vertex indices", lineno)
+        if _parse_line(" ".join(parts[1:4]), int) is None:
+            raise MeshFormatError("face indices must be integers", lineno)
+
+
 def save_off(mesh: FoamMesh, path) -> None:
-    """Write a mesh as an OFF file (full float precision)."""
+    """Write a mesh as an OFF file (full float precision).
+
+    Each block is one %-format over all of its numbers.
+    """
+    v, t = mesh.vertices, mesh.triangles
     with open(path, "w", encoding="utf-8") as f:
-        f.write("OFF\n")
-        f.write(f"{len(mesh.vertices)} {len(mesh.triangles)} 0\n")
-        for v in mesh.vertices:
-            f.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in mesh.triangles:
-            f.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        f.write(f"OFF\n{len(v)} {len(t)} 0\n")
+        f.write(("%.17g %.17g %.17g\n" * len(v)) % tuple(v.ravel().tolist()))
+        f.write(("3 %d %d %d\n" * len(t)) % tuple(t.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
