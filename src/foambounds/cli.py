@@ -9,6 +9,7 @@ emitted with sorted keys so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -275,7 +276,13 @@ def cmd_mesh_angles(args) -> dict:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    parse_args returns a fresh namespace filled from the defaults on every
+    call, so one parser serves any number of main() calls.
+    """
     parser = argparse.ArgumentParser(
         prog="foambounds",
         description="Certified lower bounds for the surface area of Plateau foams.",

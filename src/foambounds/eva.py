@@ -51,6 +51,16 @@ _ZERO_RADIUS_RTOL = 1e-9
 # sums being compared, so subsets that tie the best value are still solved.
 _PRUNE_RTOL = 1e-12
 
+# Bisection steps for the two-point stationary point.  The bracket is
+# shorter than 1 in units of 1/h, so it ends below 6e-20; the objective is
+# stationary at the root, so its value there is exact to rounding.
+_PAIR_BISECT_STEPS = 64
+
+
+def _disc_area(theta, h: float, r):
+    """pi theta exp(-2 h r) r^2, elementwise: the one copy of the formula."""
+    return math.pi * theta * np.exp(-2.0 * h * r) * r * r
+
 
 @dataclass(eq=False)
 class EvaObjective:
@@ -80,15 +90,18 @@ class EvaObjective:
             raise ValueError(f"objective has {len(self.weights)} weights, needs {n}")
         return self.weights
 
+    def terms(self, radii) -> np.ndarray:
+        """Per-point disc bounds of a radii array; the last axis indexes points."""
+        r = np.asarray(radii, dtype=float)
+        return _disc_area(self.thetas(r.shape[-1]), self.h, r)
+
     def values(self, radii) -> np.ndarray:
         """Objective of each row of a radii array; the last axis indexes points.
 
-        This is the one place the formula is written out: the single-vector
-        value, the vertex scan and the subset upper bounds all use it.
+        The single-vector value, the vertex scan and the subset upper
+        bounds all use it (or terms, its summands).
         """
-        r = np.asarray(radii, dtype=float)
-        theta = self.thetas(r.shape[-1])
-        return np.sum(math.pi * theta * np.exp(-2.0 * self.h * r) * r * r, axis=-1)
+        return np.sum(self.terms(radii), axis=-1)
 
     def value(self, radii) -> float:
         r = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -118,7 +131,13 @@ class EvaResult:
 
     value: float
     radii: np.ndarray
+    # Index of the best polytope vertex, or None when another solve
+    # (the two-point solve or the local ascent) beat every vertex.
     attaining_vertex: int | None
+    # True when value is a proven maximum: the convex regime or a single
+    # point (see convexity_certified), or two points (exact pair solve).
+    # False means only a local ascent ran, so value is attained but may
+    # fall short of the maximum.
     convexity_certified: bool
 
 
@@ -139,11 +158,20 @@ def convexity_certified(reduced: ReducedDistanceMatrix) -> bool:
     """True when the best polytope vertex is certifiably the maximum.
 
     For N >= 2 this holds when the objective is convex on the polytope:
-    h = 0, or every off-diagonal budget is at most (2 - sqrt(2))/h.  A
-    single point needs no convexity: its region is the interval
-    [0, d_11], and f(r) = r^2 e^(-2hr) increases on [0, 1/h], so the
-    interval end is the maximum whenever d_11 <= 1/h (which
-    reduce_distance_matrix guarantees by capping every entry at r_max).
+    h = 0, or every off-diagonal budget is at most (2 - sqrt(2))/h.  For
+    two points the threshold is sharp and holds for every pair of
+    weights: along r_1 + r_2 = d the slope has the sign of
+    log theta_1 psi(x) - log theta_2 psi(hd - x), x = h r_1, whose
+    derivative does not involve the weights and stays >= 0 exactly when
+    hd <= 2 - sqrt(2) (see _pair_max), so no point inside the segment
+    is a local maximum.  A single point needs no convexity: its region
+    is the interval [0, d_11], and f(r) = r^2 e^(-2hr) increases on
+    [0, 1/h], so the interval end is the maximum whenever d_11 <= 1/h
+    (which reduce_distance_matrix guarantees by capping every entry at
+    r_max).
+
+    maximize_eva's flag of the same name means "proven maximum": these
+    cases, plus every two-point polytope, which it solves exactly.
     """
     if reduced.h == 0.0:
         return True
@@ -160,10 +188,12 @@ def maximize_eva(
 
     In the certified regime (h = 0, every reduced entry at most
     (2 - sqrt(2))/h, or a single point; see convexity_certified) the best
-    polytope vertex is the exact maximum.
-    Otherwise the vertex scan is augmented with deterministic multi-start
-    local ascent and the better of the two is returned; either way the
-    value is attained by feasible radii, hence a valid area bound.
+    polytope vertex is the exact maximum.  Two points are solved exactly
+    by _pair_max, which replaces the vertex only when strictly better.
+    Otherwise (three or more points) the vertex scan is augmented with
+    deterministic multi-start local ascent and the better of the two is
+    returned; either way the value is attained by feasible radii, hence
+    a valid area bound.
     """
     if objective is None:
         objective = EvaObjective(reduced.h)
@@ -179,7 +209,13 @@ def maximize_eva(
     best_radii = verts.vertices[best].copy()
     certified = convexity_certified(reduced)
     attaining: int | None = best
-    if not certified:
+    if reduced.n == 2 and not certified:
+        budget = reduced.entries[0, 1]
+        value, r_1, r_2 = _pair_max(*objective.thetas(2), reduced.h, budget, budget, budget)
+        if value[0] > best_value:
+            best_value, best_radii, attaining = value[0], np.array([r_1[0], r_2[0]]), None
+        certified = True
+    elif not certified:
         try:
             asc_value, asc_radii = _multistart_ascent(poly, objective, verts.vertices)
         except DegeneratePolytopeError:
@@ -191,6 +227,87 @@ def maximize_eva(
     # Report the exact objective value of the returned radii.
     best_value = objective.value(best_radii)
     return EvaResult(best_value, best_radii, attaining, certified)
+
+
+def _pair_max(theta_i, theta_j, h: float, budget, cap_i, cap_j):
+    """Exact maximum of pi theta_i f(r_i) + pi theta_j f(r_j), elementwise.
+
+    f(r) = r^2 exp(-2 h r), over r_i + r_j <= budget, 0 <= r_i <= cap_i
+    and 0 <= r_j <= cap_j, where cap_i, cap_j <= budget <= 1/h (any
+    budget when h = 0).  The array arguments broadcast together; returns
+    (value, r_i, r_j) as 1-d arrays of the broadcast size.
+
+    f increases on [0, 1/h], so when cap_i + cap_j <= budget the corner
+    (cap_i, cap_j) is the maximum; otherwise the maximum lies on the
+    segment r_i + r_j = budget, r_i in [budget - cap_j, cap_i].  At h = 0
+    f is convex and only the segment ends count.  For h > 0 put
+    x = h r_i, rho = h budget <= 1 and psi(z) = z (1 - z) e^(-2z), so
+    f'(r) = 2 psi(h r) / h and the slope along the segment has the sign
+    of H(x) = log theta_i psi(x) - log theta_j psi(rho - x).  Its
+    derivative H' = L(x) + L(rho - x), with L = (log psi)' =
+    1/z - 1/(1 - z) - 2, does not involve the weights.  H' is symmetric
+    about rho/2, convex (H''' = L''(x) + L''(rho - x) >= 0 when
+    rho <= 1) and +inf at both ends, so H falls only on [x1, rho - x1]
+    between the roots of H', and the segment has at most one interior
+    local maximum: the root of H there.  That stretch is empty, i.e.
+    H'(rho/2) >= 0, exactly when rho <= 2 - sqrt(2) = CONVEXITY_COEFF.
+    The candidates are the two segment ends and that root (clipped into
+    the segment); the largest wins, the lower end first on ties.
+    """
+    theta_i, theta_j, budget, cap_i, cap_j = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(a, dtype=float))
+          for a in (theta_i, theta_j, budget, cap_i, cap_j))
+    )
+    lo = np.maximum(budget - cap_j, 0.0)
+    hi = np.minimum(cap_i, budget)
+    candidates = [lo, hi]
+    if h > 0.0:
+        rho = np.minimum(h * budget, 1.0)
+        curved = rho > CONVEXITY_COEFF
+        x = np.zeros_like(rho)
+        x[curved] = _pair_stationary(
+            np.log(theta_i[curved] / theta_j[curved]), rho[curved]
+        )
+        candidates.append(np.where(curved, np.clip(x / h, lo, hi), lo))
+    r_i = np.stack(candidates)
+    r_j = np.clip(budget - r_i, 0.0, cap_j)
+    k = np.argmax(_disc_area(theta_i, h, r_i) + _disc_area(theta_j, h, r_j), axis=0)
+    r_i = np.take_along_axis(r_i, k[None], axis=0)[0]
+    r_j = np.take_along_axis(r_j, k[None], axis=0)[0]
+    corner = cap_i + cap_j <= budget
+    r_i = np.where(corner, cap_i, r_i)
+    r_j = np.where(corner, cap_j, r_j)
+    return _disc_area(theta_i, h, r_i) + _disc_area(theta_j, h, r_j), r_i, r_j
+
+
+def _pair_stationary(log_ratio: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Root of H on [x1, rho - x1] (see _pair_max), for 2 - sqrt(2) < rho <= 1.
+
+    log_ratio is log(theta_i / theta_j).  Where H keeps one sign on that
+    stretch the result is one of its ends, still a feasible candidate.
+    With q = x (rho - x), H' = rho/q - (2 - rho)/(1 - rho + q) - 4, so
+    x1 follows from the positive root of
+    4 q^2 + 6 (1 - rho) q - rho (1 - rho) = 0.  At rho = 1 (a budget of
+    exactly 1/h) psi(x)/psi(1 - x) = e^(2 - 4x), with a removable 0/0 at
+    the segment ends, so there H = log_ratio + 2 - 4x, root written out.
+    """
+    x = 0.5 + 0.25 * log_ratio
+    inner = rho < 1.0
+    if np.any(inner):
+        c, p = log_ratio[inner], rho[inner]
+        gap = 1.0 - p
+        q = 2.0 * p * gap / (6.0 * gap + np.sqrt(36.0 * gap * gap + 16.0 * p * gap))
+        lo = 2.0 * q / (p + np.sqrt(np.maximum(p * p - 4.0 * q, 0.0)))
+        step = p - 2.0 * lo
+        # H falls on [lo, lo + step]: bisect, moving lo up while H > 0.
+        offset = c + 2.0 * p
+        for _ in range(_PAIR_BISECT_STEPS):
+            step *= 0.5
+            mid = lo + step
+            rising = np.log(mid * (1.0 - mid) / ((p - mid) * (gap + mid))) > 4.0 * mid - offset
+            np.add(lo, step, out=lo, where=rising)
+        x[inner] = lo + 0.5 * step
+    return x
 
 
 def _multistart_ascent(
@@ -262,12 +379,18 @@ def evA_exact_from_matrix(
     pair of points, so it equals the entry of the subset's polytope.
     f(r) = r^2 exp(-2 h r) increases on [0, 1/h], so
     UB(S) = sum_i pi theta_i f(u_i(S)) bounds eva(S), also when the local
-    ascent runs outside the convex regime.  Subsets are solved in order
-    of decreasing UB, and the search stops at the first subset whose UB
-    is below the best value found by more than a 1e-12 relative rounding
-    margin; all later subsets have smaller bounds.  The budgets are
-    widened by the vertex enumerator's feasibility tolerance, so radii
-    that meet the constraints only to within it stay under the bound.
+    ascent runs outside the convex regime.  For |S| >= 2 the bound is
+    tightened by keeping one pair row: relaxing S to r_i + r_j <= R_ij
+    plus the per-point budgets gives, for every pair {i, j} in S,
+    UB(S) - s_i - s_j + E_ij(S), where s_i = pi theta_i f(u_i(S)) and
+    E_ij(S) is the exact two-point maximum (_pair_max) with budget R_ij
+    and caps u_i(S), u_j(S); the smallest over the pairs is used.
+    Subsets are solved in order of decreasing bound, and the search stops
+    at the first subset whose bound is below the best value found by
+    more than a 1e-12 relative rounding margin; all later subsets have
+    smaller bounds.  The bounds allow for the vertex enumerator's
+    feasibility tolerance, so radii that meet the constraints only to
+    within it stay under them (see _subset_upper_bounds).
 
     Pruning changes no result: ties are broken toward the smallest
     subset, then lexicographically, exactly as a scan of every subset in
@@ -318,14 +441,15 @@ def _subset_upper_bounds(
     objective: EvaObjective,
     subsets: list,
 ) -> np.ndarray:
-    """UB(S) = sum over i in S of pi theta_i f(u_i(S)) for every subset.
+    """UB(S) tightened by the best pair row (see evA_exact_from_matrix).
 
     +inf for a subset holding a point with an infinite budget (no
     boundary and h = 0); solving that singleton raises the unbounded
-    instance error, as the full scan would.
+    instance error, as the full scan would.  Only singletons can have an
+    infinite budget, so the pair terms never meet one.
     """
     n = matrix.n
-    r_max = reduced.r_max
+    h, r_max = reduced.h, reduced.r_max
     members = np.zeros((len(subsets), n), dtype=bool)
     for k, subset in enumerate(subsets):
         members[k, list(subset)] = True
@@ -334,14 +458,36 @@ def _subset_upper_bounds(
     single = np.minimum(matrix.boundary_distances, r_max)
     budgets = np.where(members.sum(axis=1)[:, None] == 1, single, budgets)
     # A vertex meets r_i + r_j <= R_ij and r_j >= 0 only to within the
-    # enumerator's feasibility tolerance, so r_i can exceed u_i by twice it.
-    # The tolerance scales with the largest right-hand side of any subset
-    # polytope, which is among these values.
+    # enumerator's feasibility tolerance t, so r_i can exceed u_i by 2t.
+    # t scales with the largest right-hand side of any subset polytope,
+    # which is among these values.
     rhs = np.concatenate([reduced.entries.ravel(), single, [r_max]])
     widen = 2.0 * feasibility_tol_for(np.max(rhs[np.isfinite(rhs)]))
-    budgets = np.where(members, np.minimum(budgets + widen, r_max), 0.0)
-    unbounded = np.any(np.isinf(budgets), axis=1)
-    bounds = objective.values(np.where(np.isinf(budgets), 0.0, budgets))
+    unbounded = np.any(members & np.isinf(budgets), axis=1)
+    wide = np.where(members & ~unbounded[:, None], np.minimum(budgets + widen, r_max), 0.0)
+    terms = objective.terms(wide)
+    bounds = terms.sum(axis=1)
+
+    # Pair rows: one entry per (subset, pair inside it), |S| >= 2 only.
+    iu, ju = np.triu_indices(n, 1)
+    k, p = np.nonzero(members[:, iu] & members[:, ju])
+    i, j = iu[p], ju[p]
+    theta = objective.thetas(n)
+    budget = reduced.entries[i, j]
+    pair_max, _, _ = _pair_max(
+        theta[i], theta[j], h, budget, budgets[k, i], budgets[k, j]
+    )
+    # Widened radii lie within 2 * widen (1-norm) of the exact pair
+    # region, inside [-widen, budget + widen], where
+    # |f'(r)| <= 2 |r| (1 + h |r|) e^(2 h max(0, -r)); that Lipschitz
+    # slack keeps the pair term an upper bound without pushing its budget
+    # past 1/h, where _pair_max does not apply.
+    reach = budget + widen
+    slope = 2.0 * reach * (1.0 + h * reach) * math.exp(2.0 * h * widen)
+    pair_max = pair_max + 2.0 * widen * math.pi * np.maximum(theta[i], theta[j]) * slope
+    gain = np.zeros(len(subsets))
+    np.minimum.at(gain, k, pair_max - terms[k, i] - terms[k, j])
+    bounds = bounds + gain
     bounds[unbounded] = np.inf
     return bounds
 

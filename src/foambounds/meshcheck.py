@@ -90,13 +90,18 @@ class FoamMesh:
                 f"triangle {int(np.argmin(areas))} is degenerate "
                 f"(area {float(np.min(areas)):g})"
             )
-        edges, counts = self.edge_use_counts()
+        nv = len(v)
+        keys, counts = np.unique(self._edge_keys(), return_counts=True)
+        edges = np.stack([keys // nv, keys % nv], axis=1)
         if np.any(counts > 3):
             e = edges[int(np.argmax(counts))]
             raise MeshInvariantError(
                 f"edge ({e[0]}, {e[1]}) is used {int(np.max(counts))} times; "
                 "at most 3 (a Plateau border) is allowed"
             )
+        edges.flags.writeable = False
+        counts.flags.writeable = False
+        self._edge_counts = (edges, counts)
 
     @property
     def scale(self) -> float:
@@ -110,10 +115,10 @@ class FoamMesh:
 
         Edges come in lexicographic order.  Each sorted pair is keyed as
         lo * n_vertices + hi, so one 1-D unique replaces a row-wise one.
+        Both arrays are counted once, when the mesh is validated, and are
+        read-only.
         """
-        nv = len(self.vertices)
-        keys, counts = np.unique(self._edge_keys(), return_counts=True)
-        return np.stack([keys // nv, keys % nv], axis=1), counts
+        return self._edge_counts
 
     def _edge_keys(self) -> np.ndarray:
         """int64 key of each triangle's edges (0-1, 1-2, 2-0), triangle-major."""

@@ -214,3 +214,32 @@ def test_stdout_emission(instance_path, capsys):
     assert run(["bounds-kelvin", "--edge-length", "2.0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["edge_length"] == 2.0
+
+
+def test_parser_built_once_and_calls_share_no_state(instance_path, tmp_path):
+    from foambounds.cli import build_parser
+
+    assert build_parser() is build_parser()
+    out = tmp_path / "report.json"
+    dump = tmp_path / "polytope.json"
+    assert run(["eva", "--input", instance_path, "--h", "3", "--output", str(out),
+                "--dump-polytope", str(dump)]) == 0
+    assert read_report(out)["h"] == 3.0
+    assert dump.exists()
+    dump.unlink()
+    # The next call on the same file uses the file's h and dumps nothing.
+    assert run(["eva", "--input", instance_path, "--output", str(out)]) == 0
+    assert read_report(out)["h"] == 0.0
+    assert not dump.exists()
+
+
+def test_usage_errors_exit_2(instance_path, tmp_path, capsys):
+    for argv in (["eva"], ["no-such-command"], ["eva", "--input", instance_path, "--h", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+    # A failed parse leaves the shared parser usable.
+    out = tmp_path / "report.json"
+    assert run(["eva-exact", "--input", instance_path, "--output", str(out)]) == 0
+    assert read_report(out)["subset"] == [0]

@@ -31,6 +31,7 @@ from foambounds import (
     maximize_eva,
     reduce_distance_matrix,
 )
+from foambounds.eva import CONVEXITY_COEFF, _multistart_ascent, _pair_max, _subset_upper_bounds
 from foambounds.geometry import THETA_V_PI
 
 from conftest import (
@@ -41,6 +42,7 @@ from conftest import (
 )
 
 THETA_PI = THETA_V_PI  # theta_vertex * pi = 3 * arccos(-1/3)
+MIXED_THETAS = np.array([THETA_VERTEX, THETA_EDGE, THETA_FACE])
 
 
 def worked_reduced() -> ReducedDistanceMatrix:
@@ -130,6 +132,9 @@ def test_maximize_recompute_identity():
 
 def test_certified_vertex_never_beaten_by_sampling():
     rng = np.random.default_rng(9)
+    # Mixed densities come from their own stream, so the instances and
+    # samples are those of the vertex-density check.
+    weight_rng = np.random.default_rng(10)
     for _ in range(8):
         n = int(rng.integers(2, 5))
         points, domain = random_instance(rng, n)
@@ -142,7 +147,11 @@ def test_certified_vertex_never_beaten_by_sampling():
         verts = enumerate_vertices(poly).vertices
         hi = np.max(verts, axis=0)
         obj = EvaObjective(h)
+        mixed = EvaObjective(h, weight_rng.choice(MIXED_THETAS, size=n))
+        mixed_res = maximize_eva(reduced, mixed)
+        assert mixed_res.convexity_certified
         best_sample = 0.0
+        mixed_best = 0.0
         kept = 0
         tries = 0
         while kept < 10_000 and tries < 400_000:
@@ -151,8 +160,31 @@ def test_certified_vertex_never_beaten_by_sampling():
             if poly.contains(x, tol=0.0):
                 kept += 1
                 best_sample = max(best_sample, obj.value(x))
+                mixed_best = max(mixed_best, mixed.value(x))
         assert kept >= 10_000
         assert best_sample <= res.value * (1.0 + 1e-7)
+        assert mixed_best <= mixed_res.value * (1.0 + 1e-7)
+
+
+def test_certified_vertex_never_beaten_by_ascent_mixed_weights():
+    # Certified polytopes with mixed densities: local ascent from 32 starts
+    # never climbs above the best vertex beyond rounding.
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 40:
+        n = int(rng.integers(2, 6))
+        points, domain = random_instance(rng, n)
+        h = float(rng.choice([0.5, 1.0, 3.0]))
+        reduced = reduce_distance_matrix(build_distance_matrix(points, domain), h)
+        if not convexity_certified(reduced):
+            continue
+        objective = EvaObjective(h, rng.choice(MIXED_THETAS, size=n))
+        res = maximize_eva(reduced, objective)
+        assert res.convexity_certified and res.attaining_vertex is not None
+        poly = build_h_polytope(reduced)
+        ascent, _ = _multistart_ascent(poly, objective, enumerate_vertices(poly).vertices)
+        assert ascent <= res.value * (1.0 + 2e-16)
+        checked += 1
 
 
 def test_uncertified_instance_uses_ascent_and_stays_feasible():
@@ -223,6 +255,187 @@ def test_eva_scale_covariance():
                 )
             ).value
             assert scaled == pytest.approx(lam * lam * base, rel=1e-6)
+
+
+# --- two-point solve ----------------------------------------------------------
+
+
+def pair_cases():
+    """(theta_i, theta_j, h, budget, cap_i, cap_j): every density pair,
+    h = 0 and h > 0, budgets below, at and above the convexity threshold
+    and exactly 1/h, caps equal to the budget and cutting into it."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for ti, tj in itertools.product(MIXED_THETAS, repeat=2):
+        for h in (0.0, 0.3, 3.0, 6.0):
+            r_max = 2.0 if h == 0.0 else 1.0 / h
+            fractions = [0.2, CONVEXITY_COEFF, 0.7, 0.95, 1.0 - 1e-12, 1.0]
+            for budget in [f * r_max for f in fractions] + [r_max * rng.random()]:
+                cases.append((ti, tj, h, budget, budget, budget))
+                cap_i, cap_j = budget * rng.random(2)
+                cases.append((ti, tj, h, budget, cap_i, budget))
+                cases.append((ti, tj, h, budget, cap_i, cap_j))
+            if h > 0.0:
+                cases.append((ti, tj, h, 1.0 / h, 1.0 / h, 1.0 / h))
+    return cases
+
+
+def pair_objective(ti, tj, h, r_i, r_j):
+    return EvaObjective(h, [ti, tj]).values(np.stack([r_i, r_j], axis=-1))
+
+
+def test_pair_max_matches_dense_grid():
+    cases = np.array(pair_cases())
+    for h in np.unique(cases[:, 2]):
+        group = cases[cases[:, 2] == h]
+        ti, tj, _, budget, cap_i, cap_j = group.T
+        results = zip(group, *_pair_max(ti, tj, float(h), budget, cap_i, cap_j))
+        for (ti, tj, h, budget, cap_i, cap_j), v, a, b in results:
+            assert 0.0 <= a <= cap_i and 0.0 <= b <= cap_j
+            assert a + b <= budget * (1.0 + 1e-15)
+            assert v == pair_objective(ti, tj, h, a, b)
+            grid = np.linspace(max(0.0, budget - cap_j), min(cap_i, budget), 20001)
+            best = np.max(pair_objective(ti, tj, h, grid, np.minimum(budget - grid, cap_j)))
+            if cap_i + cap_j <= budget:
+                best = pair_objective(ti, tj, h, cap_i, cap_j)
+            assert v >= best * (1.0 - 4e-16)
+
+
+def test_pair_max_matches_mpmath():
+    # 40-digit reference: the segment ends and every stationary point of
+    # g(r) = pi (theta_i f(r) + theta_j f(R - r)), each root of g' refined
+    # by mpmath from a sign change on a float grid.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+
+    def df(h, r):
+        return 2 * r * (1 - h * r) * mp.exp(-2 * h * r)
+
+    interior = 0
+    for ti, tj, h, budget, cap_i, cap_j in pair_cases():
+        if cap_i + cap_j <= budget:
+            continue
+        v = _pair_max(ti, tj, h, budget, cap_i, cap_j)[0][0]
+        ti_, tj_, h_, R = (mp.mpf(float(a)) for a in (ti, tj, h, budget))
+
+        def g(r):
+            return mp.pi * (ti_ * r ** 2 * mp.exp(-2 * h_ * r)
+                            + tj_ * (R - r) ** 2 * mp.exp(-2 * h_ * (R - r)))
+
+        def dg(r):
+            return ti_ * df(h_, r) - tj_ * df(h_, R - r)
+
+        lo, hi = max(0.0, budget - cap_j), min(cap_i, budget)
+        best = max(g(mp.mpf(lo)), g(mp.mpf(hi)))
+        grid = np.linspace(lo, hi, 2001)
+        rest = budget - grid
+        slope = (ti * grid * (1 - h * grid) * np.exp(-2 * h * grid)
+                 - tj * rest * (1 - h * rest) * np.exp(-2 * h * rest))
+        for k in np.flatnonzero((slope[:-1] > 0) & (slope[1:] <= 0)):
+            root = mp.findroot(dg, (mp.mpf(grid[k]), mp.mpf(grid[k + 1])), solver="anderson")
+            best = max(best, g(root))
+            interior += 1
+        assert abs(v - best) <= 4e-16 * best
+    assert interior > 50
+
+
+def test_pair_threshold_is_convexity_coefficient():
+    # Below hR = 2 - sqrt(2) no density pair has an interior local maximum
+    # on the segment r_i + r_j = R, so the best radii are a segment end and
+    # the two-point polytope is certified by convexity_certified.  Just
+    # above it the midpoint is a strict local maximum for equal densities.
+    h = 3.0
+    grid = np.linspace(0.0, 1.0, 4001)
+    for rho in (0.3, CONVEXITY_COEFF * (1.0 - 1e-9)):
+        budget = rho / h
+        reduced = ReducedDistanceMatrix(np.array([[0.0, budget], [budget, 0.0]]), h)
+        assert convexity_certified(reduced)
+        for ti, tj in itertools.product(np.concatenate([MIXED_THETAS, [1e-3, 1e3]]), repeat=2):
+            _, r_i, _ = _pair_max(ti, tj, h, budget, budget, budget)
+            assert r_i[0] in (0.0, budget)
+            g = pair_objective(ti, tj, h, grid * budget, (1.0 - grid) * budget)
+            interior_peak = (g[1:-1] > g[:-2]) & (g[1:-1] > g[2:])
+            assert not np.any(interior_peak)
+    above = CONVEXITY_COEFF * (1.0 + 1e-3) / h
+    assert not convexity_certified(
+        ReducedDistanceMatrix(np.array([[0.0, above], [above, 0.0]]), h)
+    )
+    mid = pair_objective(1.0, 1.0, h, above / 2.0, above / 2.0)
+    for t in (1e-4, 1e-3):
+        assert mid > pair_objective(1.0, 1.0, h, above * (0.5 + t), above * (0.5 - t))
+    # Past hR = ln 2 the midpoint also beats the segment ends, and at
+    # R = 1/h equal densities split the budget into 1/(2h) each.
+    for rho in (0.8, 1.0):
+        _, r_i, r_j = _pair_max(THETA_VERTEX, THETA_VERTEX, h, rho / h, rho / h, rho / h)
+        assert r_i[0] == pytest.approx(rho / (2.0 * h), rel=1e-12)
+        assert r_j[0] == pytest.approx(rho / (2.0 * h), rel=1e-12)
+    _, r_i, r_j = _pair_max(THETA_EDGE, THETA_EDGE, h, 1.0 / h, 1.0 / h, 1.0 / h)
+    assert r_i[0] == r_j[0] == 1.0 / (2.0 * h)
+
+
+def test_two_point_solve_is_certified_and_beats_ascent(monkeypatch):
+    import foambounds.eva as eva_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("local ascent ran on a two-point polytope")
+
+    rng = np.random.default_rng(43)
+    for _ in range(12):
+        d = float(rng.uniform(0.6, 1.0)) / 3.0
+        reduced = ReducedDistanceMatrix(np.array([[0.0, d], [d, 0.0]]), 3.0)
+        assert not convexity_certified(reduced)
+        objective = EvaObjective(3.0, rng.choice(MIXED_THETAS, size=2))
+        with monkeypatch.context() as patch:
+            patch.setattr(eva_module, "_multistart_ascent", forbidden)
+            res = maximize_eva(reduced, objective)
+        assert res.convexity_certified
+        poly = build_h_polytope(reduced)
+        assert poly.contains(res.radii)
+        ascent, _ = _multistart_ascent(poly, objective, enumerate_vertices(poly).vertices)
+        assert res.value >= ascent
+    # Equal densities past hR = ln 2: the midpoint beats every vertex.
+    res = maximize_eva(ReducedDistanceMatrix(np.array([[0.0, 0.3], [0.3, 0.0]]), 3.0))
+    assert res.attaining_vertex is None
+    assert res.radii == pytest.approx([0.15, 0.15], rel=1e-12)
+
+
+def assert_bounds_cover_subsets(matrix, h, objective):
+    """Every subset's pair-tightened bound is at least its eva, and at
+    most the per-point sum with budgets widened past the tolerance."""
+    n = matrix.n
+    reduced = reduce_distance_matrix(matrix, h)
+    subsets = [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
+    bounds = _subset_upper_bounds(matrix, reduced, objective, subsets)
+    for subset, bound in zip(subsets, bounds):
+        sub = reduce_distance_matrix(matrix.submatrix(subset), h)
+        assert bound >= maximize_eva(sub, objective.subset(subset)).value
+        m = len(subset)
+        u = sub.entries[0] if m == 1 else (sub.entries + np.diag(np.full(m, np.inf))).min(axis=1)
+        assert bound <= objective.subset(subset).value(np.minimum(u + 1e-6, reduced.r_max))
+    return reduced, bounds
+
+
+def test_pair_tightened_bound_covers_every_subset():
+    rng = np.random.default_rng(47)
+    for h in (0.0, 0.3, 3.0, 6.0):
+        for ball_radius in (1.0, 3.0):
+            for _ in range(3):
+                n = int(rng.integers(2, 6))
+                matrix = random_distance_matrix(rng, n, ball_radius)
+                assert_bounds_cover_subsets(
+                    matrix, h, EvaObjective(h, rng.choice(MIXED_THETAS, size=n))
+                )
+    # Far-apart points deep inside a large ball: every budget is exactly
+    # 1/h, so every pair row sits at hR = 1, and the pair term must still
+    # tighten every bound of two or more points.
+    points = PointSet(2.0 * np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]]))
+    matrix = build_distance_matrix(points, Ball(np.zeros(3), 10.0))
+    objective = EvaObjective(6.0, [THETA_VERTEX, THETA_EDGE, THETA_FACE, THETA_FACE])
+    reduced, bounds = assert_bounds_cover_subsets(matrix, 6.0, objective)
+    assert np.all(reduced.entries[~np.eye(4, dtype=bool)] == 1.0 / 6.0)
+    per_point = [objective.subset(s).value(np.full(len(s), 1.0 / 6.0))
+                 for size in range(2, 5) for s in itertools.combinations(range(4), size)]
+    assert np.all(bounds[4:] < per_point)
 
 
 # --- exact evA --------------------------------------------------------------
@@ -318,13 +531,22 @@ def assert_matches_oracle(matrix, h, weights=None):
 def test_evA_exact_pruned_matches_exhaustive_oracle():
     rng = np.random.default_rng(2024)
     thetas = np.array([THETA_VERTEX, THETA_EDGE, THETA_FACE])
-    for h in (0.0, 0.3, 3.0):
+    for h in (0.0, 0.3, 3.0, 6.0):
         for ball_radius in (1.0, 3.0):
             for _ in range(3):
                 n = int(rng.integers(1, 7))
                 matrix = random_distance_matrix(rng, n, ball_radius)
                 weights = rng.choice(thetas, size=n) if rng.random() < 0.5 else None
                 assert_matches_oracle(matrix, h, weights)
+    # Budgets capped at 1/h: points spread through a large ball, so most
+    # pair rows sit exactly at hR = 1.
+    for h in (3.0, 6.0):
+        for _ in range(3):
+            n = int(rng.integers(3, 7))
+            matrix = random_distance_matrix(rng, n, ball_radius=6.0)
+            reduced = reduce_distance_matrix(matrix, h)
+            assert np.sum(reduced.entries == 1.0 / h) >= 2
+            assert_matches_oracle(matrix, h, rng.choice(thetas, size=n))
 
 
 def test_evA_exact_tie_prefers_smaller_subset():

@@ -800,3 +800,12 @@ def test_ambiguous_vertex_warns():
     assert report.triple_edge_count == 2
     # Vertex 1 sits between two borders: skipped silently, no warning needed.
     assert report.checked_vertex_count == 0
+
+
+def test_edge_counts_are_computed_once_and_read_only(unit_sphere):
+    edges, counts = unit_sphere.edge_use_counts()
+    again = unit_sphere.edge_use_counts()
+    assert again[0] is edges and again[1] is counts
+    for array in (edges, counts):
+        with pytest.raises(ValueError):
+            array[0] = 0
