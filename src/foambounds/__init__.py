@@ -34,7 +34,6 @@ from .eva import (
     EvaObjective,
     EvaResult,
     convexity_certified,
-    eva_value,
     evA_algorithm1,
     evA_algorithm1_from_matrix,
     evA_exact,
@@ -58,11 +57,9 @@ from .geometry import (
     PeriodicBox,
     PointSet,
     ReducedDistanceMatrix,
-    boundary_distance,
     build_distance_matrix,
     domain_from_json,
     load_instance,
-    pairwise_distance,
     reduce_distance_matrix,
 )
 from .meshcheck import (

@@ -24,9 +24,9 @@ def main_theorem_bound(theta: float, h: float, radius: float) -> float:
     theta = float(theta)
     h = float(h)
     radius = float(radius)
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive")
-    if h < 0:
+    if not h >= 0:
         raise ValueError("curvature bound h must be >= 0")
     if not radius > 0 or not math.isfinite(radius):
         raise ValueError("radius must be positive and finite")
@@ -36,7 +36,7 @@ def main_theorem_bound(theta: float, h: float, radius: float) -> float:
 def a0(d: float, theta: float = THETA_VERTEX) -> float:
     """Guaranteed area theta * pi * (d/2)^2 of one vertex at separation d."""
     d = float(d)
-    if d <= 0:
+    if not d > 0:
         raise ValueError("separation d must be positive")
     return theta * math.pi * (d / 2.0) ** 2
 
@@ -55,9 +55,9 @@ def compact_foam_bounds(theta: float, h: float) -> CompactFoamBounds:
     """
     theta = float(theta)
     h = float(h)
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive")
-    if h <= 0:
+    if not h > 0:
         raise ValueError(
             "compact foam bounds need h > 0 (no compact foam is minimal)"
         )
@@ -84,7 +84,7 @@ def kelvin_cell_bound(a: float) -> KelvinCellBound:
     vertex discs.
     """
     a = float(a)
-    if a <= 0:
+    if not a > 0:
         raise ValueError("edge length a must be positive")
     a2 = a * a
     hex_discs = 8 * 0.5 * math.pi * a2 / 4.0
@@ -109,9 +109,9 @@ class CostInput:
     d: float
 
     def __post_init__(self):
-        if self.n < 1 or self.v < 1:
+        if not (self.n >= 1 and self.v >= 1):
             raise ValueError("need at least one cell and one vertex")
-        if self.volume <= 0 or self.d <= 0:
+        if not (self.volume > 0 and self.d > 0):
             raise ValueError("volume and minimal distance must be positive")
 
     @property
@@ -146,9 +146,11 @@ class PressureInput:
     d: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not math.isfinite(self.p_ext):
+            raise ValueError("external pressure must be finite")
+        if not self.sigma > 0:
             raise ValueError("surface tension must be positive")
-        if self.vertex_density < 0 or self.d <= 0:
+        if not (self.vertex_density >= 0 and self.d > 0):
             raise ValueError("vertex density must be >= 0 and d > 0")
 
 

@@ -95,6 +95,19 @@ def _parse_center(text: str) -> list[float]:
     return [float(p) for p in parts]
 
 
+def _eva_report(args, h: float, matrix: DistanceMatrix, result, formula: str) -> dict:
+    """The fields that the eva, eva-exact and eva-greedy reports share."""
+    return {
+        "command": args.subcommand,
+        "input": args.input,
+        "h": h,
+        "n_points": matrix.n,
+        "radii": result.radii.tolist(),
+        "theta_v_pi_units": result.value / THETA_V_PI,
+        "formula": formula,
+    }
+
+
 def cmd_eva(args) -> dict:
     matrix, h, weights = _load_eva_input(args.input, args.h)
     reduced = reduce_distance_matrix(matrix, h)
@@ -104,54 +117,38 @@ def cmd_eva(args) -> dict:
         verts = enumerate_vertices(poly, tol=args.tol)
         _emit({"polytope": poly.to_json(), "vertices": verts.to_json()}, args.dump_polytope)
     return {
-        "command": "eva",
-        "input": args.input,
-        "h": h,
-        "n_points": matrix.n,
+        **_eva_report(args, h, matrix, result, _EVA_FORMULA),
         "eva": result.value,
-        "radii": result.radii.tolist(),
         "convexity_certified": result.convexity_certified,
-        "theta_v_pi_units": result.value / THETA_V_PI,
-        "formula": _EVA_FORMULA,
     }
 
 
 def cmd_eva_exact(args) -> dict:
     matrix, h, weights = _load_eva_input(args.input, args.h)
     result = evA_exact_from_matrix(matrix, h, weights, max_n=args.max_exact_n)
+    formula = "max over nonempty point subsets of " + _EVA_FORMULA
     return {
-        "command": "eva-exact",
-        "input": args.input,
-        "h": h,
-        "n_points": matrix.n,
+        **_eva_report(args, h, matrix, result, formula),
         "evA": result.value,
         "method": result.method,
         "subset": list(result.surviving_subset),
-        "radii": result.radii.tolist(),
         "subsets_scored": result.subsets_scored,
         "subsets_total": 2 ** matrix.n - 1,
-        "theta_v_pi_units": result.value / THETA_V_PI,
         "evA_over_theta_v_pi": result.value / THETA_V_PI,
-        "formula": "max over nonempty point subsets of " + _EVA_FORMULA,
     }
 
 
 def cmd_eva_greedy(args) -> dict:
     matrix, h, weights = _load_eva_input(args.input, args.h)
     result = evA_algorithm1_from_matrix(matrix, h, weights)
+    formula = "greedy descent over point subsets of " + _EVA_FORMULA
     return {
-        "command": "eva-greedy",
-        "input": args.input,
-        "h": h,
-        "n_points": matrix.n,
+        **_eva_report(args, h, matrix, result, formula),
         "evA": result.value,
         "method": result.method,
         "subset": list(result.surviving_subset),
-        "radii": result.radii.tolist(),
         "notes": list(result.notes),
-        "theta_v_pi_units": result.value / THETA_V_PI,
         "evA_over_theta_v_pi": result.value / THETA_V_PI,
-        "formula": "greedy descent over point subsets of " + _EVA_FORMULA,
     }
 
 
@@ -256,6 +253,8 @@ def cmd_mesh_verify(args) -> dict:
 
 
 def _write_curve_csv(args, mesh, center) -> None:
+    if args.curve_points < 1:
+        raise ValueError("--curve-points must be at least 1")
     theta = DensityClass(args.theta).theta
     radii = np.linspace(args.radius / args.curve_points, args.radius, args.curve_points)
     rows = ["radius,bound,measured_area"]

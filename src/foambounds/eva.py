@@ -75,11 +75,11 @@ class EvaObjective:
 
     def __post_init__(self):
         self.h = float(self.h)
-        if self.h < 0:
+        if not self.h >= 0:
             raise ValueError("curvature bound h must be >= 0")
         if self.weights is not None:
             w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-            if np.any(w <= 0):
+            if not np.all(w > 0):
                 raise ValueError("weights must be positive")
             self.weights = w
 
@@ -105,7 +105,7 @@ class EvaObjective:
 
     def value(self, radii) -> float:
         r = np.atleast_1d(np.asarray(radii, dtype=float))
-        if np.any(r < 0):
+        if not np.all(r >= 0):
             raise ValueError("radii must be nonnegative")
         return float(self.values(r))
 
@@ -118,11 +118,6 @@ class EvaObjective:
         if self.weights is None:
             return EvaObjective(self.h)
         return EvaObjective(self.h, self.weights[list(indices)])
-
-
-def eva_value(radii, objective: EvaObjective) -> float:
-    """Evaluate the objective at a nonnegative radii vector."""
-    return objective.value(radii)
 
 
 @dataclass(eq=False)

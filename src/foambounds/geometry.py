@@ -59,23 +59,46 @@ _THETA_BY_CLASS = {
 }
 
 
-def as_point(p) -> np.ndarray:
-    """Coerce to a finite float (3,) array."""
+def as_points(p) -> np.ndarray:
+    """Coerce to a finite float array of 3D points, shape (..., 3)."""
     a = np.asarray(p, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3D point, got shape {a.shape}")
+    if a.ndim == 0 or a.shape[-1] != 3:
+        raise ValueError(f"expected 3D points, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"point has non-finite coordinates: {a}")
     return a
 
 
+def as_point(p) -> np.ndarray:
+    """Coerce to a finite float (3,) array."""
+    a = as_points(p)
+    if a.ndim != 1:
+        raise ValueError(f"expected a 3D point, got shape {a.shape}")
+    return a
+
+
+def _length(d: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last axis, rounded like a 1-D np.linalg.norm.
+
+    np.linalg.norm(d, axis=-1) sums in another order and can differ in the last bit.
+    """
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def _answer(x):
+    """A Python scalar for a single point, else the per-point array."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
 class Domain:
     """A region of 3-space with membership and boundary-distance oracles.
 
-    Subclasses implement the five supported variants: ball, axis-aligned
-    box, half-space intersection, periodic box, and all of space.  The
-    periodic box and all-space variants have no boundary; their boundary
-    distance is +inf.
+    Every oracle takes one point or an (..., 3) array and answers per
+    point by broadcasting (a Python scalar for one point).  Subclasses
+    implement the five supported variants: ball, axis-aligned box,
+    half-space intersection, periodic box, and all of space.  The defaults
+    are all of space's: no boundary (distance +inf), Euclidean distance.
     """
 
     kind = "abstract"
@@ -85,18 +108,21 @@ class Domain:
         """Characteristic length used for membership tolerances."""
         raise NotImplementedError
 
-    def contains(self, p) -> bool:
-        raise NotImplementedError
+    def contains(self, p):
+        """Whether each point lies in the domain (within the tolerance)."""
+        return _answer(np.ones(as_points(p).shape[:-1], dtype=bool))
 
-    def boundary_distance(self, p) -> float:
-        """Distance from an interior point to the domain boundary."""
-        raise NotImplementedError
+    def boundary_distance(self, p):
+        """Distance from each member point to the domain boundary."""
+        return _answer(np.full(self.require_member(p).shape[:-1], math.inf))
 
-    def distance(self, p, q) -> float:
-        """Distance between two member points (Euclidean by default)."""
-        self.require_member(p)
-        self.require_member(q)
-        return float(np.linalg.norm(as_point(p) - as_point(q)))
+    def distance(self, p, q):
+        """Distance between member points, pair by pair after broadcasting."""
+        return _answer(_length(self._delta(self.require_member(p), self.require_member(q))))
+
+    def _delta(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Displacement between points whose length is their distance."""
+        return a - b
 
     def scaled(self, factor: float) -> "Domain":
         """The domain dilated about the origin by ``factor`` > 0."""
@@ -106,10 +132,12 @@ class Domain:
         raise NotImplementedError
 
     def require_member(self, p) -> np.ndarray:
-        a = as_point(p)
-        if not self.contains(a):
+        """The points as an (..., 3) array; raises naming the first outsider."""
+        a = as_points(p)
+        outside = ~np.asarray(self.contains(a))
+        if np.any(outside):
             raise DomainMembershipError(
-                f"point {a.tolist()} is outside the {self.kind} domain"
+                f"point {a[outside][0].tolist()} is outside the {self.kind} domain"
             )
         return a
 
@@ -134,12 +162,12 @@ class Ball(Domain):
     def scale(self) -> float:
         return self.radius
 
-    def contains(self, p) -> bool:
-        return float(np.linalg.norm(as_point(p) - self.center)) <= self.radius + self._tol()
+    def contains(self, p):
+        return _answer(_length(as_points(p) - self.center) <= self.radius + self._tol())
 
-    def boundary_distance(self, p) -> float:
+    def boundary_distance(self, p):
         a = self.require_member(p)
-        return max(0.0, self.radius - float(np.linalg.norm(a - self.center)))
+        return _answer(np.maximum(0.0, self.radius - _length(a - self.center)))
 
     def scaled(self, factor: float) -> "Ball":
         return Ball(self.center * factor, self.radius * factor)
@@ -165,17 +193,16 @@ class Box(Domain):
     def scale(self) -> float:
         return float(np.max(self.max_corner - self.min_corner))
 
-    def contains(self, p) -> bool:
-        a = as_point(p)
+    def contains(self, p):
+        a = as_points(p)
         tol = self._tol()
-        return bool(
-            np.all(a >= self.min_corner - tol) and np.all(a <= self.max_corner + tol)
-        )
+        inside = (a >= self.min_corner - tol) & (a <= self.max_corner + tol)
+        return _answer(np.all(inside, axis=-1))
 
-    def boundary_distance(self, p) -> float:
+    def boundary_distance(self, p):
         a = self.require_member(p)
-        gaps = np.concatenate([a - self.min_corner, self.max_corner - a])
-        return max(0.0, float(np.min(gaps)))
+        gaps = np.concatenate([a - self.min_corner, self.max_corner - a], axis=-1)
+        return _answer(np.maximum(0.0, np.min(gaps, axis=-1)))
 
     def scaled(self, factor: float) -> "Box":
         return Box(self.min_corner * factor, self.max_corner * factor)
@@ -213,13 +240,17 @@ class HalfspaceIntersection(Domain):
     def scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.offsets))))
 
-    def contains(self, p) -> bool:
-        a = as_point(p)
-        return bool(np.all(self.normals @ a <= self.offsets + self._tol()))
+    def _heights(self, a: np.ndarray) -> np.ndarray:
+        """n.x for every normal, last axis; rounds like normals @ x for one x."""
+        return (self.normals @ a[..., None])[..., 0]
 
-    def boundary_distance(self, p) -> float:
-        a = self.require_member(p)
-        return max(0.0, float(np.min(self.offsets - self.normals @ a)))
+    def contains(self, p):
+        heights = self._heights(as_points(p))
+        return _answer(np.all(heights <= self.offsets + self._tol(), axis=-1))
+
+    def boundary_distance(self, p):
+        heights = self._heights(self.require_member(p))
+        return _answer(np.maximum(0.0, np.min(self.offsets - heights, axis=-1)))
 
     def scaled(self, factor: float) -> "HalfspaceIntersection":
         return HalfspaceIntersection(self.normals.copy(), self.offsets * factor)
@@ -255,19 +286,10 @@ class PeriodicBox(Domain):
     def scale(self) -> float:
         return float(np.max(self.lengths))
 
-    def contains(self, p) -> bool:
-        return bool(np.all(np.isfinite(as_point(p))))
-
-    def boundary_distance(self, p) -> float:
-        self.require_member(p)
-        return math.inf
-
-    def distance(self, p, q) -> float:
-        a = self.require_member(p)
-        b = self.require_member(q)
+    def _delta(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Minimum-image displacement."""
         delta = np.abs(a - b) % self.lengths
-        delta = np.minimum(delta, self.lengths - delta)
-        return float(np.linalg.norm(delta))
+        return np.minimum(delta, self.lengths - delta)
 
     def scaled(self, factor: float) -> "PeriodicBox":
         return PeriodicBox(self.lengths * factor)
@@ -285,13 +307,6 @@ class AllSpace(Domain):
     @property
     def scale(self) -> float:
         return 1.0
-
-    def contains(self, p) -> bool:
-        return bool(np.all(np.isfinite(as_point(p))))
-
-    def boundary_distance(self, p) -> float:
-        self.require_member(p)
-        return math.inf
 
     def scaled(self, factor: float) -> "AllSpace":
         return AllSpace()
@@ -426,14 +441,14 @@ class ReducedDistanceMatrix:
             raise ValueError("reduced matrix must be square, N >= 1")
         if not np.array_equal(e, e.T):
             raise ValueError("reduced matrix must be exactly symmetric")
-        if np.any(e < 0):
+        if not np.all(e >= 0):
             raise ValueError("reduced entries must be nonnegative")
         if not np.all(np.isfinite(e)):
             raise UnboundedInstanceError(
                 "reduced matrix has infinite entries; the area bound is +inf"
             )
         self.h = float(self.h)
-        if self.h < 0:
+        if not self.h >= 0:
             raise ValueError("curvature bound h must be >= 0")
         self.entries = e
 
@@ -454,39 +469,17 @@ class ReducedDistanceMatrix:
         return self.entries.tolist()
 
 
-def pairwise_distance(p, q, domain: Domain) -> float:
-    """Distance between two points of the domain.
-
-    Euclidean for all variants except the periodic box, which uses the
-    minimum image convention.  Raises DomainMembershipError if either
-    point is outside the domain.
-    """
-    return domain.distance(p, q)
-
-
-def boundary_distance(p, domain: Domain) -> float:
-    """Distance from a member point to the domain boundary (+inf if none)."""
-    return domain.boundary_distance(p)
-
-
 def build_distance_matrix(point_set: PointSet, domain: Domain) -> DistanceMatrix:
     """Assemble the (N+1) x (N+1) distance matrix for a point set.
 
-    The result is exactly symmetric by construction: each pairwise
-    distance is computed once and mirrored.
+    The result is exactly symmetric: swapping two points only flips the
+    signs of their displacement, which leaves its rounded length alone.
     """
-    pts = point_set.points
+    pts = domain.require_member(point_set.points)
     n = len(pts)
     entries = np.zeros((n + 1, n + 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = domain.distance(pts[i], pts[j])
-            entries[i, j] = d
-            entries[j, i] = d
-    for i in range(n):
-        d = domain.boundary_distance(pts[i])
-        entries[i, n] = d
-        entries[n, i] = d
+    entries[:n, :n] = domain.distance(pts[:, None], pts[None])
+    entries[:n, n] = entries[n, :n] = domain.boundary_distance(pts)
     return DistanceMatrix(entries)
 
 
@@ -503,7 +496,7 @@ def reduce_distance_matrix(matrix: DistanceMatrix, h: float) -> ReducedDistanceM
             the extrinsic vertex area is +inf.
     """
     h = float(h)
-    if h < 0:
+    if not h >= 0:
         raise ValueError("curvature bound h must be >= 0")
     r_max = math.inf if h == 0.0 else 1.0 / h
     n = matrix.n
@@ -590,6 +583,7 @@ def load_instance(source) -> Instance:
     point_set = PointSet(np.array(obj["points"], dtype=float), classes, obj.get("labels"))
     domain = domain_from_json(obj["domain"])
     h = float(obj.get("h", 0.0))
-    for p in point_set.points:
-        domain.require_member(p)
+    if not h >= 0:
+        raise ValueError("curvature bound h must be >= 0")
+    domain.require_member(point_set.points)
     return Instance(point_set, domain, h)

@@ -153,7 +153,7 @@ class DiscProbe:
         if not self.radius > 0:
             raise ValueError("probe radius must be positive")
         self.h = float(self.h)
-        if self.h < 0:
+        if not self.h >= 0:
             raise ValueError("curvature bound h must be >= 0")
 
 
@@ -343,7 +343,7 @@ def _clipped_area_detail(
     which only has to be positive: a budget below it shows in the report
     as uncertainty > eps.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("area error budget eps must be positive")
     r = probe.radius
     w = mesh.vertices[mesh.triangles] - probe.center

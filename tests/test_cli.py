@@ -3,8 +3,24 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from foambounds import (
+    CostInput,
+    DensityClass,
+    DiscProbe,
+    DistanceMatrix,
+    EvaObjective,
+    PressureInput,
+    ReducedDistanceMatrix,
+    a0,
+    compact_foam_bounds,
+    kelvin_cell_bound,
+    load_instance,
+    main_theorem_bound,
+    reduce_distance_matrix,
+)
 from foambounds.cli import main
 from foambounds.geometry import THETA_V_PI
 from foambounds.meshcheck import save_off
@@ -243,3 +259,84 @@ def test_usage_errors_exit_2(instance_path, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["eva-exact", "--input", instance_path, "--output", str(out)]) == 0
     assert read_report(out)["subset"] == [0]
+
+
+NAN = float("nan")
+COST = ["bounds-cost", "--cells", "1", "--foam-vertices", "24"]
+PRESSURE = ["bounds-pressure", "--sigma", "1", "--vertex-density", "1"]
+MESH_VERIFY = ["mesh-verify", "--input", "{mesh}", "--center", "0,0,0", "--radius", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds-main", "--radius", "1", "--h", "nan"],
+    ["bounds-compact", "--h", "nan"],
+    ["bounds-kelvin", "-a", "nan"],
+    COST + ["--volume", "1", "--min-distance", "nan"],
+    COST + ["--volume", "nan", "--min-distance", "0.5"],
+    PRESSURE + ["--min-distance", "nan"],
+    ["bounds-pressure", "--sigma", "nan", "--vertex-density", "1", "--min-distance", "1"],
+    ["bounds-pressure", "--sigma", "1", "--vertex-density", "nan", "--min-distance", "1"],
+    PRESSURE + ["--min-distance", "1", "--p-ext", "nan"],
+    MESH_VERIFY + ["--h", "nan"],
+    MESH_VERIFY + ["--eps-area", "nan"],
+    ["eva", "--input", "{nan_instance}"],
+    ["eva-exact", "--input", "{nan_instance}"],
+    ["eva-greedy", "--input", "{nan_instance}"],
+    ["eva", "--input", "{nan_matrix}"],
+    ["eva", "--input", "{instance}", "--h", "nan"],
+    ["eva-exact", "--input", "{instance}", "--h", "nan"],
+    ["eva-greedy", "--input", "{instance}", "--h", "nan"],
+], ids=" ".join)
+def test_nan_inputs_exit_2_without_nan_output(argv, instance_path, tmp_path, capsys):
+    mesh = tmp_path / "cone.off"
+    save_off(tetrahedral_cone(2.5), mesh)
+    nan_instance = tmp_path / "nan_h.json"
+    nan_instance.write_text(json.dumps({**WORKED_INSTANCE, "h": NAN}))
+    nan_matrix = tmp_path / "nan_matrix.json"
+    nan_matrix.write_text(json.dumps({"distance_matrix": [[0, 4], [4, 0]], "h": NAN}))
+    paths = {"mesh": mesh, "nan_instance": nan_instance, "nan_matrix": nan_matrix,
+             "instance": instance_path}
+    assert run([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error" in captured.err
+    assert "NaN" not in captured.err and "nan" not in captured.err.lower()
+
+
+@pytest.mark.parametrize("func, args", [
+    (main_theorem_bound, (1.0, NAN, 1.0)),
+    (main_theorem_bound, (NAN, 0.0, 1.0)),
+    (a0, (NAN,)),
+    (compact_foam_bounds, (1.0, NAN)),
+    (compact_foam_bounds, (NAN, 1.0)),
+    (kelvin_cell_bound, (NAN,)),
+    (CostInput, (1, 24, 1.0, NAN)),
+    (CostInput, (1, 24, NAN, 1.0)),
+    (PressureInput, (0.0, NAN, 1.0, 1.0)),
+    (PressureInput, (0.0, 1.0, NAN, 1.0)),
+    (PressureInput, (0.0, 1.0, 1.0, NAN)),
+    (PressureInput, (NAN, 1.0, 1.0, 1.0)),
+    (EvaObjective, (NAN,)),
+    (EvaObjective, (0.0, np.array([1.0, NAN]))),
+    (EvaObjective(0.0).value, ([1.0, NAN],)),
+    (ReducedDistanceMatrix, (np.array([[1.0]]), NAN)),
+    (reduce_distance_matrix, (DistanceMatrix(np.array([[0.0, 4.0], [4.0, 0.0]])), NAN)),
+    (DiscProbe, ((0.0, 0.0, 0.0), 1.0, DensityClass.FACE, NAN)),
+    (load_instance, ({**WORKED_INSTANCE, "h": NAN},)),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_nan_library_inputs_raise_value_error(func, args):
+    with pytest.raises(ValueError):
+        func(*args)
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_mesh_verify_rejects_curve_points_below_one(points, tmp_path, capsys):
+    mesh_path = tmp_path / "cone.off"
+    save_off(tetrahedral_cone(2.5), mesh_path)
+    csv_path = tmp_path / "curve.csv"
+    assert run([
+        "mesh-verify", "--input", str(mesh_path), "--center", "0,0,0", "--radius", "1.0",
+        "--csv", str(csv_path), "--curve-points", points,
+    ]) == 2
+    assert "--curve-points" in capsys.readouterr().err
+    assert not csv_path.exists()

@@ -27,7 +27,6 @@ from foambounds import (
     evA_algorithm1_from_matrix,
     evA_exact,
     evA_exact_from_matrix,
-    eva_value,
     maximize_eva,
     reduce_distance_matrix,
 )
@@ -53,24 +52,24 @@ def worked_reduced() -> ReducedDistanceMatrix:
 
 
 def test_eva_value_worked_radii():
-    value = eva_value([0.0, 1.0, 2.0], EvaObjective(0.0))
+    value = EvaObjective(0.0).value([0.0, 1.0, 2.0])
     assert value == pytest.approx(5.0 * THETA_PI, abs=1e-12)
     assert value == pytest.approx(28.65949854373528, abs=1e-6)
 
 
 def test_eva_value_zero_vector():
-    assert eva_value([0.0, 0.0, 0.0], EvaObjective(0.0)) == 0.0
+    assert EvaObjective(0.0).value([0.0, 0.0, 0.0]) == 0.0
 
 
 def test_eva_value_with_cap_weight_one():
-    value = eva_value([1.0], EvaObjective(0.5, np.array([1.0])))
+    value = EvaObjective(0.5, np.array([1.0])).value([1.0])
     assert value == pytest.approx(math.pi * math.exp(-1.0), rel=1e-12)
     assert value == pytest.approx(1.155727, abs=1e-6)
 
 
 def test_eva_value_rejects_negative_radii():
     with pytest.raises(ValueError):
-        eva_value([-0.1, 1.0], EvaObjective(0.0))
+        EvaObjective(0.0).value([-0.1, 1.0])
 
 
 def test_theta_v_pi_constant():
@@ -109,7 +108,7 @@ def test_single_point_above_convexity_coefficient_is_certified():
     res = maximize_eva(reduced)
     assert res.convexity_certified
     assert np.array_equal(res.radii, [3.0])
-    assert res.value == eva_value([3.0], EvaObjective(0.3))
+    assert res.value == EvaObjective(0.3).value([3.0])
     # A budget beyond 1/h is past the peak: not certified.
     assert not convexity_certified(ReducedDistanceMatrix(np.array([[4.0]]), 0.3))
 
@@ -126,7 +125,7 @@ def test_maximize_recompute_identity():
         h = float(rng.choice([0.0, 0.3]))
         reduced = reduce_distance_matrix(build_distance_matrix(points, domain), h)
         res = maximize_eva(reduced)
-        again = eva_value(res.radii, EvaObjective(h))
+        again = EvaObjective(h).value(res.radii)
         assert abs(res.value - again) <= 1e-12 * max(1.0, abs(again))
 
 
@@ -215,7 +214,7 @@ def test_degenerate_polytope_falls_back_to_vertex_scan():
     assert not res.convexity_certified
     assert res.radii == pytest.approx([0.0, 0.0, 3.0])
     assert res.value == pytest.approx(
-        eva_value([0.0, 0.0, 3.0], EvaObjective(0.3)), rel=1e-12
+        EvaObjective(0.3).value([0.0, 0.0, 3.0]), rel=1e-12
     )
 
 

@@ -20,65 +20,63 @@ from foambounds import (
     PointSet,
     ReducedDistanceMatrix,
     UnboundedInstanceError,
-    boundary_distance,
     build_distance_matrix,
     domain_from_json,
     load_instance,
-    pairwise_distance,
     reduce_distance_matrix,
 )
-from foambounds.geometry import THETA_EDGE, THETA_FACE, THETA_VERTEX
+from foambounds.geometry import THETA_EDGE, THETA_FACE, THETA_VERTEX, _length
 
 from conftest import WORKED_MATRIX, WORKED_REDUCED, random_instance
 
 
 def test_pairwise_distance_pythagoras():
-    assert pairwise_distance((0, 0, 0), (3, 4, 0), AllSpace()) == 5.0
+    assert AllSpace().distance((0, 0, 0), (3, 4, 0)) == 5.0
 
 
 def test_pairwise_distance_identical_point():
     p = (0.3, -1.2, 7.0)
-    assert pairwise_distance(p, p, AllSpace()) == 0.0
+    assert AllSpace().distance(p, p) == 0.0
 
 
 def test_pairwise_distance_minimum_image():
-    d = pairwise_distance((0.1, 0, 0), (0.9, 0, 0), PeriodicBox((1, 1, 1)))
+    d = PeriodicBox((1, 1, 1)).distance((0.1, 0, 0), (0.9, 0, 0))
     assert d == pytest.approx(0.2, abs=1e-15)
 
 
 def test_pairwise_distance_outside_domain_rejected():
     with pytest.raises(DomainMembershipError):
-        pairwise_distance((0, 0, 0), (5, 0, 0), Ball((0, 0, 0), 1.0))
+        Ball((0, 0, 0), 1.0).distance((0, 0, 0), (5, 0, 0))
 
 
 def test_boundary_distance_ball_center():
-    assert boundary_distance((0, 0, 0), Ball((0, 0, 0), 10.0)) == 10.0
+    assert Ball((0, 0, 0), 10.0).boundary_distance((0, 0, 0)) == 10.0
 
 
 def test_boundary_distance_ball_interior():
-    assert boundary_distance((1, 0, 0), Ball((0, 0, 0), 4.0)) == pytest.approx(3.0)
+    assert Ball((0, 0, 0), 4.0).boundary_distance((1, 0, 0)) == pytest.approx(3.0)
 
 
 def test_boundary_distance_boundaryless_domains():
-    assert boundary_distance((0.5, 0.5, 0.5), PeriodicBox((1, 1, 1))) == math.inf
-    assert boundary_distance((3, 2, 1), AllSpace()) == math.inf
+    assert PeriodicBox((1, 1, 1)).boundary_distance((0.5, 0.5, 0.5)) == math.inf
+    assert AllSpace().boundary_distance((3, 2, 1)) == math.inf
 
 
 def test_boundary_distance_outside_rejected():
     with pytest.raises(DomainMembershipError):
-        boundary_distance((5, 0, 0), Ball((0, 0, 0), 1.0))
+        Ball((0, 0, 0), 1.0).boundary_distance((5, 0, 0))
 
 
 def test_boundary_distance_box():
     box = Box((0, 0, 0), (2, 4, 6))
-    assert boundary_distance((1, 1, 3), box) == pytest.approx(1.0)
+    assert box.boundary_distance((1, 1, 3)) == pytest.approx(1.0)
 
 
 def test_boundary_distance_halfspaces():
     slab = HalfspaceIntersection(
         np.array([[0, 0, 1.0], [0, 0, -1.0]]), np.array([2.0, 2.0])
     )
-    assert boundary_distance((0, 0, 0.5), slab) == pytest.approx(1.5)
+    assert slab.boundary_distance((0, 0, 0.5)) == pytest.approx(1.5)
 
 
 def test_membership_tolerates_boundary_roundtrip():
@@ -86,7 +84,7 @@ def test_membership_tolerates_boundary_roundtrip():
     # A point a hair outside from serialization rounding still counts.
     p = (1.0 + 1e-14, 0.0, 0.0)
     assert ball.contains(p)
-    assert boundary_distance(p, ball) == 0.0
+    assert ball.boundary_distance(p) == 0.0
 
 
 def test_build_distance_matrix_worked_example(worked_points, worked_domain):
@@ -254,6 +252,10 @@ def test_load_instance_rejects_outside_points():
     }
     with pytest.raises(DomainMembershipError):
         load_instance(doc)
+    # One outside point among inside ones is enough.
+    doc["points"] = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 0.5]]
+    with pytest.raises(DomainMembershipError, match=r"\[0\.0, 1\.5, 0\.0\]"):
+        load_instance(doc)
 
 
 def test_domain_from_json_all_variants():
@@ -278,3 +280,123 @@ def test_reduced_matrix_validation():
         ReducedDistanceMatrix(np.array([[math.inf]]), 0.0)
     with pytest.raises(ValueError):
         ReducedDistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Oracles on arrays of points
+
+FIVE_DOMAINS = (
+    Ball((0.5, -0.2, 0.1), 1.3),
+    Box((-1.0, -0.5, 0.0), (1.0, 0.75, 2.0)),
+    HalfspaceIntersection(
+        np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0], [-1.0, 0.0, 0.0]]),
+        np.array([1.0, 2.0, 0.5]),
+    ),
+    PeriodicBox((1.0, 2.0, 0.5)),
+    AllSpace(),
+)
+DOMAIN_IDS = [d.kind for d in FIVE_DOMAINS]
+
+
+def _probe_points(domain, rng) -> np.ndarray:
+    """Random points, plus points within the membership tolerance of the
+    boundary (inside and outside it) and just beyond it."""
+    pts = rng.uniform(-2.0, 2.0, size=(40, 3))
+    tol = 1e-12 * domain.scale
+    steps = np.array([-0.5, 0.0, 0.5, 2.0]) * tol
+    if isinstance(domain, Ball):
+        u = rng.normal(size=(len(steps), 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        edge = domain.center + u * (domain.radius + steps)[:, None]
+    elif isinstance(domain, Box):
+        edge = rng.uniform(domain.min_corner, domain.max_corner, size=(len(steps), 3))
+        edge[:, 1] = domain.max_corner[1] + steps
+    elif isinstance(domain, HalfspaceIntersection):
+        edge = np.column_stack([rng.uniform(0.0, 0.4, size=(len(steps), 2)), 1.0 + steps])
+    else:
+        edge = rng.normal(size=(len(steps), 3)) * 1e6
+    return np.vstack([pts, edge])
+
+
+def _reference_distance(domain, p, q) -> float:
+    """The per-pair scalar formula the vectorised oracle replaced."""
+    delta = p - q
+    if isinstance(domain, PeriodicBox):
+        delta = np.abs(delta) % domain.lengths
+        delta = np.minimum(delta, domain.lengths - delta)
+    return float(np.linalg.norm(delta))
+
+
+def _reference_boundary_distance(domain, p) -> float:
+    """The per-point scalar formulas the vectorised oracles replaced."""
+    if isinstance(domain, Ball):
+        return max(0.0, domain.radius - float(np.linalg.norm(p - domain.center)))
+    if isinstance(domain, Box):
+        gaps = np.concatenate([p - domain.min_corner, domain.max_corner - p])
+        return max(0.0, float(np.min(gaps)))
+    if isinstance(domain, HalfspaceIntersection):
+        return max(0.0, float(np.min(domain.offsets - domain.normals @ p)))
+    return math.inf
+
+
+@pytest.mark.parametrize("domain", FIVE_DOMAINS, ids=DOMAIN_IDS)
+def test_array_oracles_equal_per_point_calls(domain):
+    pts = _probe_points(domain, np.random.default_rng(17))
+    inside = domain.contains(pts)
+    assert inside.shape == (len(pts),)
+    assert inside.tolist() == [domain.contains(p) for p in pts]
+    if domain.kind in ("periodic", "all"):
+        assert inside.all()
+    else:
+        # Within the tolerance counts as inside, beyond it as outside.
+        assert inside[-4:].tolist() == [True, True, True, False]
+    members = pts[inside]
+    bd = domain.boundary_distance(members)
+    assert np.array_equal(bd, [domain.boundary_distance(p) for p in members])
+    assert np.array_equal(bd, [_reference_boundary_distance(domain, p) for p in members])
+    d = domain.distance(members[:, None], members[None])
+    assert np.array_equal(d, [[domain.distance(p, q) for q in members] for p in members])
+    assert np.array_equal(
+        d, [[_reference_distance(domain, p, q) for q in members] for p in members]
+    )
+
+
+@pytest.mark.parametrize("domain", FIVE_DOMAINS, ids=DOMAIN_IDS)
+def test_build_distance_matrix_equals_per_pair_loop(domain):
+    pts = _probe_points(domain, np.random.default_rng(23))
+    pts = pts[domain.contains(pts)]
+    entries = build_distance_matrix(PointSet(pts), domain).entries
+    n = len(pts)
+    expected = np.zeros((n + 1, n + 1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            expected[i, j] = expected[j, i] = _reference_distance(domain, pts[i], pts[j])
+        expected[i, n] = expected[n, i] = _reference_boundary_distance(domain, pts[i])
+    assert np.array_equal(entries, expected)
+    assert np.array_equal(entries, entries.T)
+
+
+def test_require_member_names_first_outside_point():
+    ball = Ball((0, 0, 0), 1.0)
+    pts = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 4.0, 0.0]])
+    with pytest.raises(DomainMembershipError, match=r"point \[3\.0, 0\.0, 0\.0\] is outside"):
+        ball.require_member(pts)
+    with pytest.raises(DomainMembershipError, match=r"\[3\.0, 0\.0, 0\.0\]"):
+        ball.distance(pts[:, None], pts[None])
+    assert ball.require_member(pts[[0, 2]]).shape == (2, 3)
+
+
+@pytest.mark.parametrize("domain", FIVE_DOMAINS, ids=DOMAIN_IDS)
+def test_single_point_oracles_return_scalars(domain):
+    p, q = (0.0, 0.0, 0.25), [0.25, -0.25, 0.0]
+    assert type(domain.contains(p)) is bool
+    assert type(domain.boundary_distance(p)) is float
+    assert type(domain.distance(p, q)) is float
+    assert domain.distance(p, q) == _reference_distance(domain, np.array(p), np.array(q))
+
+
+def test_length_rounds_like_one_dimensional_norm():
+    rng = np.random.default_rng(5)
+    d = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-3, 3, size=(20000, 1))
+    assert np.array_equal(_length(d), [np.linalg.norm(row) for row in d])
+    assert np.array_equal(_length(d.reshape(100, 200, 3)), _length(d).reshape(100, 200))
