@@ -36,8 +36,11 @@ def main_theorem_bound(theta: float, h: float, radius: float) -> float:
 def a0(d: float, theta: float = THETA_VERTEX) -> float:
     """Guaranteed area theta * pi * (d/2)^2 of one vertex at separation d."""
     d = float(d)
+    theta = float(theta)
     if not d > 0:
         raise ValueError("separation d must be positive")
+    if not theta > 0:
+        raise ValueError("theta must be positive")
     return theta * math.pi * (d / 2.0) ** 2
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -268,6 +269,8 @@ def _write_curve_csv(args, mesh, center) -> None:
 
 
 def cmd_mesh_angles(args) -> dict:
+    if not 0.0 <= args.angle_tol < math.inf:
+        raise ValueError(f"--angle-tol must be finite and >= 0, got {args.angle_tol}")
     mesh = load_mesh(args.input)
     report = plateau_angle_check(mesh, args.angle_tol)
     out = {"command": "mesh-angles", "input": args.input}

@@ -492,8 +492,13 @@ def plateau_angle_check(mesh: FoamMesh, angle_tol_degrees: float = 1.0) -> Angle
     triple edges meet must have all six pairwise edge angles equal to
     arccos(-1/3), about 109.4712 degrees.  Vertices whose neighborhood is
     incomplete (touching the mesh boundary) are skipped silently;
-    ambiguous incidences are skipped with a warning.
+    ambiguous incidences are skipped with a warning.  The tolerance must
+    be finite and >= 0 degrees.
     """
+    if not 0.0 <= angle_tol_degrees < math.inf:
+        raise ValueError(
+            f"angle tolerance must be finite and >= 0 degrees, got {angle_tol_degrees!r}"
+        )
     edges, counts = mesh.edge_use_counts()
     triple = edges[counts == 3]
     triple_edges = [tuple(e) for e in triple.tolist()]

@@ -11,20 +11,27 @@ and a polar-dual route (shift by an interior point, scale rows by slack,
 take the convex hull of the scaled rows; each hull facet maps back to a
 vertex).  The dual route is the default for larger instances and must
 agree with the reference to 1e-7.
+
+The interior point needs no LP.  Every row is a pair, cap or nonneg row,
+so x0_i = min over rows k with M[k, i] = +1 of b_k / (1 + p_k), with p_k
+the number of +1 entries in row k, leaves every row with p_k > 0 a slack
+of at least b_k / (1 + p_k) and -r_i <= 0 a slack of x0_i.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DegeneratePolytopeError, NumericalError, UnboundedInstanceError
 from .geometry import ReducedDistanceMatrix
+
+_log = logging.getLogger(__name__)
 
 # Feasibility tolerance, absolute on b scaled to unit max (i.e. multiply by
 # ||b||_inf for the raw scale); dedup tolerance, relative to ||b||_inf.
@@ -166,31 +173,24 @@ def build_h_polytope(reduced: ReducedDistanceMatrix) -> HPolytope:
 
 
 def interior_point(poly: HPolytope) -> np.ndarray:
-    """A strictly feasible point: the Chebyshev center of the region.
+    """A strictly feasible point, in closed form.
 
-    Solves max rho s.t. M r + rho * ||M_i|| <= b.  Raises
-    DegeneratePolytopeError when the inradius is (numerically) zero,
-    i.e. the region is lower-dimensional.
+    x0_i = min over rows k with M[k, i] = +1 of b_k / (1 + p_k), where p_k
+    is the number of +1 entries in row k.  Every coordinate has such a row
+    (HPolytope checks it) and every row is a pair, cap or nonneg row, so a
+    row with p_k > 0 sums at most p_k shares of b_k / (1 + p_k) and keeps
+    slack >= b_k / (1 + p_k), while -r_i <= 0 keeps slack x0_i.  Raises
+    DegeneratePolytopeError when min(x0) is (numerically) zero, i.e. some
+    budget is zero and the region is lower-dimensional.
     """
-    if poly.n == 1:
-        mid = float(poly.b[0]) / 2.0
-        if mid <= 0.0:
-            raise DegeneratePolytopeError("interval has zero length")
-        return np.array([mid])
-    row_norms = np.linalg.norm(poly.M, axis=1)
-    a_ub = np.hstack([poly.M, row_norms[:, None]])
-    c = np.zeros(poly.n + 1)
-    c[-1] = -1.0
-    bounds = [(None, None)] * poly.n + [(0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=poly.b, bounds=bounds, method="highs")
-    if not res.success:
-        raise NumericalError(f"Chebyshev center LP failed: {res.message}")
-    rho = -res.fun
-    if rho <= 1e-11 * max(1.0, float(np.max(np.abs(poly.b)))):
+    plus = poly.M == 1.0
+    share = poly.b / (1.0 + np.count_nonzero(plus, axis=1))
+    x0 = np.min(np.where(plus, share[:, None], np.inf), axis=0)
+    if not float(np.min(x0)) > 1e-11 * max(1.0, float(np.max(np.abs(poly.b)))):
         raise DegeneratePolytopeError(
             "no strictly feasible point: the region is lower-dimensional"
         )
-    return np.asarray(res.x[: poly.n], dtype=float)
+    return x0
 
 
 def enumerate_vertices(
@@ -204,7 +204,8 @@ def enumerate_vertices(
         method: "auto", "combinatorial", or "dual".  Auto uses the
             combinatorial scan while C(m, n) stays small and the dual
             transform beyond, falling back to combinatorial if the hull
-            computation fails.
+            computation fails; each fallback is logged at debug level
+            with its cause.
     """
     if method not in ("auto", "combinatorial", "dual"):
         raise ValueError(f"unknown method {method!r}")
@@ -229,7 +230,12 @@ def enumerate_vertices(
             verts = _dual_transform_vertices(poly, feas_tol)
             if len(verts) == 0:
                 raise _DualUntrusted("dual transform kept no feasible point")
-        except (QhullError, DegeneratePolytopeError, _DualUntrusted):
+        except (QhullError, DegeneratePolytopeError, _DualUntrusted) as exc:
+            cause = (str(exc).strip().splitlines() or [""])[0]
+            _log.debug(
+                "dual route falls back to the combinatorial scan (n=%d, m=%d): %s: %s",
+                poly.n, poly.m, type(exc).__name__, cause,
+            )
             verts = _combinatorial_vertices(poly, feas_tol)
     else:
         verts = _combinatorial_vertices(poly, feas_tol)
@@ -303,8 +309,10 @@ def _dedup_lex(verts: np.ndarray, dedup_tol: float) -> np.ndarray:
     A row is dropped iff it lies within dedup_tol (inf-norm, inclusive) of
     an earlier row of the sorted order that was itself kept.  An exact
     repeat of the row before it always shares that row's fate, so repeats
-    are cut first.  One k-d tree query then lists every close pair of the
-    remaining rows (i < j in sorted order); visiting the pairs by
+    are cut first.  A nearest-other-row query then screens out the rows
+    with no other row within dedup_tol: they are in no close pair, and
+    usually that is every row.  One k-d tree query lists every close pair
+    of the rows left (i < j in sorted order); visiting the pairs by
     increasing j settles each row's fate before any later row asks about
     it, so only close pairs are ever looked at.  Needs dedup_tol >= 0.
     """
@@ -312,8 +320,17 @@ def _dedup_lex(verts: np.ndarray, dedup_tol: float) -> np.ndarray:
     distinct = np.ones(len(verts), dtype=bool)
     distinct[1:] = np.any(verts[1:] != verts[:-1], axis=1)
     verts = verts[distinct]
-    pairs = cKDTree(verts).query_pairs(dedup_tol, p=np.inf, output_type="ndarray")
-    pairs = pairs[np.argsort(pairs[:, 1])]
+    # Rows are distinct, so each row's nearest hit is itself and the second
+    # is its nearest other row (inf when none lies within the bound, which
+    # cKDTree treats as strict, hence the nextafter).
+    nearest, _ = cKDTree(verts).query(
+        verts, k=2, p=np.inf, distance_upper_bound=np.nextafter(dedup_tol, np.inf)
+    )
+    close = np.flatnonzero(nearest[:, 1] <= dedup_tol)
+    if close.size == 0:
+        return verts
+    pairs = cKDTree(verts[close]).query_pairs(dedup_tol, p=np.inf, output_type="ndarray")
+    pairs = close[pairs[np.argsort(pairs[:, 1])]]
     keep = [True] * len(verts)
     for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
         if keep[i]:

@@ -79,6 +79,12 @@ def test_a0_values():
         a0(0.0)
 
 
+@pytest.mark.parametrize("theta", [float("nan"), -1.0, 0.0, -math.inf])
+def test_a0_rejects_theta_not_positive(theta):
+    with pytest.raises(ValueError, match="theta"):
+        a0(2.0, theta)
+
+
 def test_compact_foam_double_bubble():
     r2 = 1.0
     result = compact_foam_bounds(1.5, 1.0 / r2)

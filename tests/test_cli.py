@@ -218,6 +218,16 @@ def test_mesh_angles(tmp_path):
     assert report["max_deviation_deg"] == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_mesh_angles_rejects_bad_angle_tol(tol, tmp_path, capsys):
+    mesh_path = tmp_path / "wedge.off"
+    save_off(triple_wedge(2.0), mesh_path)
+    assert run(["mesh-angles", "--input", str(mesh_path), "--angle-tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--angle-tol" in captured.err
+
+
 def test_reports_are_byte_identical(instance_path, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -307,6 +317,7 @@ def test_nan_inputs_exit_2_without_nan_output(argv, instance_path, tmp_path, cap
     (main_theorem_bound, (1.0, NAN, 1.0)),
     (main_theorem_bound, (NAN, 0.0, 1.0)),
     (a0, (NAN,)),
+    (a0, (2.0, NAN)),
     (compact_foam_bounds, (1.0, NAN)),
     (compact_foam_bounds, (NAN, 1.0)),
     (kelvin_cell_bound, (NAN,)),

@@ -768,6 +768,16 @@ def test_tetrahedral_cone_vertex_angles():
     assert math.degrees(math.acos(-1.0 / 3.0)) == pytest.approx(109.4712, abs=1e-4)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), math.inf, -1.0])
+def test_angle_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="angle tolerance"):
+        plateau_angle_check(triple_wedge(2.0), angle_tol_degrees=tol)
+
+
+def test_zero_angle_tolerance_is_accepted():
+    assert plateau_angle_check(triple_wedge(2.0), angle_tol_degrees=0.0).angle_tol_deg == 0.0
+
+
 def test_mesh_without_borders_reports_nothing(unit_sphere):
     report = plateau_angle_check(unit_sphere, angle_tol_degrees=1.0)
     assert report.triple_edge_count == 0

@@ -1,14 +1,17 @@
 """H-representation construction and vertex enumeration."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection, cKDTree
 
 from foambounds import (
     DegeneratePolytopeError,
+    DistanceMatrix,
     HPolytope,
     ReducedDistanceMatrix,
     UnboundedInstanceError,
@@ -17,7 +20,13 @@ from foambounds import (
     interior_point,
     reduce_distance_matrix,
 )
-from foambounds.polytope import _dedup_lex
+from foambounds.polytope import (
+    _AUTO_COMBINATORIAL_LIMIT,
+    DEDUP_TOL,
+    _dedup_lex,
+    _dual_transform_vertices,
+    _DualUntrusted,
+)
 
 from conftest import WORKED_REDUCED, random_distance_matrix
 
@@ -294,6 +303,7 @@ def test_dedup_matches_greedy_oracle():
     tol = 0.25  # a power of two, so the offsets below are exact
     base = rng.integers(0, 5, size=(40, 4)).astype(float)
     a = np.array([0.3, 0.1, 0.7])
+    far = np.column_stack([10.0 * np.arange(500), rng.integers(0, 5, size=(500, 2))])
     # Small coordinates keep a 1e-16 jitter above their spacing.
     small = 1e-3 * base[rng.integers(0, 40, 200)]
     cases = {
@@ -307,6 +317,11 @@ def test_dedup_matches_greedy_oracle():
         "no close pairs": (rng.permutation(base[:, :1] + 10.0 * np.arange(40)[:, None]), tol),
         "interval": (np.array([[3.0], [0.0]]), tol),
         "chain": (np.array([a + 1.2 * tol, a, a + 0.6 * tol, a + 0.6 * tol, a]), tol),
+        "long chain": (rng.permutation(a + 0.6 * tol * np.arange(7)[:, None]), tol),
+        "single row": (np.array([[1.0, 2.0, 3.0]]), tol),
+        "one pair tol apart among far rows": (
+            rng.permutation(np.vstack([far, far[123] + [0.0, tol, 0.0]])), tol
+        ),
     }
     for name, (verts, t) in cases.items():
         assert np.array_equal(_dedup_lex(verts, t), greedy_dedup_oracle(verts, t)), name
@@ -315,6 +330,35 @@ def test_dedup_matches_greedy_oracle():
     # it cannot merge a with a + 1.2 tol, which is farther than tol from a:
     # both ends stay.
     assert np.array_equal(_dedup_lex(cases["chain"][0], tol), np.array([a, a + 1.2 * tol]))
+    assert len(_dedup_lex(*cases["one pair tol apart among far rows"])) == 500
+
+
+# --- route logging ----------------------------------------------------------
+
+
+def test_dual_fallback_is_logged(caplog):
+    zero_budget = build_h_polytope(
+        ReducedDistanceMatrix(np.array([[0.0, 0.0], [0.0, 0.0]]), 0.0)
+    )
+    thin = build_h_polytope(ReducedDistanceMatrix(
+        np.array([[0.0, 1e-8, 1.0], [1e-8, 0.0, 1.0], [1.0, 1.0, 0.0]]), 0.0
+    ))
+    for poly, cause in ((zero_budget, "DegeneratePolytopeError"), (thin, "too thin")):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
+            enumerate_vertices(poly, method="dual")
+        assert len(caplog.records) == 1
+        assert "falls back to the combinatorial scan" in caplog.text and cause in caplog.text
+
+
+def test_full_dimensional_instance_stays_on_dual_route(caplog):
+    matrix = random_distance_matrix(np.random.default_rng(3), 7)
+    poly = build_h_polytope(reduce_distance_matrix(matrix, 0.0))
+    assert math.comb(poly.m, poly.n) > _AUTO_COMBINATORIAL_LIMIT  # auto takes the dual route
+    with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
+        verts = enumerate_vertices(poly)
+    assert len(verts) > 0
+    assert caplog.records == []
 
 
 # --- interior point ---------------------------------------------------------
@@ -346,3 +390,97 @@ def test_interior_point_degenerate():
     poly = build_h_polytope(reduced)
     with pytest.raises(DegeneratePolytopeError):
         interior_point(poly)
+
+
+def spread_polytopes():
+    """build_h_polytope output for N = 1..8 and h in {0, 0.3, 3}.
+
+    Points are uniform in a 10-cube and boundary distances spread over 8
+    decades (1e-6 to 1e2); every fourth instance gets one zero boundary
+    distance, so some of its budgets are zero.
+    """
+    rng = np.random.default_rng(9)
+    for n in range(1, 9):
+        for h in (0.0, 0.3, 3.0):
+            for t in range(8):
+                pts = rng.random((n, 3)) * 10.0
+                bd = 10.0 ** rng.uniform(-6.0, 2.0, n)
+                if t % 4 == 3:
+                    bd[rng.integers(n)] = 0.0
+                entries = np.zeros((n + 1, n + 1))
+                entries[:n, :n] = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+                entries[:n, n] = entries[n, :n] = bd
+                yield build_h_polytope(reduce_distance_matrix(DistanceMatrix(entries), h))
+
+
+def plus_counts(poly):
+    return np.count_nonzero(poly.M == 1.0, axis=1)
+
+
+def has_zero_budget(poly):
+    return bool(np.any(poly.b[plus_counts(poly) > 0] == 0.0))
+
+
+def test_interior_point_closed_form_on_built_polytopes():
+    degenerate = 0
+    for poly in spread_polytopes():
+        if has_zero_budget(poly):
+            degenerate += 1
+            with pytest.raises(DegeneratePolytopeError):
+                interior_point(poly)
+            continue
+        x0 = interior_point(poly)
+        slack = poly.b - poly.M @ x0
+        assert np.all(slack > 0.0)
+        # Each row keeps its share b_k / (1 + p_k), up to the rounding of
+        # the shares and of the row sum.
+        assert np.all(slack >= poly.b / (1 + plus_counts(poly)) * (1.0 - 1e-15))
+    assert degenerate == 8 * 3 * 2
+
+
+def halfspace_vertices(poly):
+    """Vertices from scipy's halfspace intersection about an LP Chebyshev
+    centre: independent of the library's interior point and hull setup."""
+    norms = np.linalg.norm(poly.M, axis=1)
+    res = linprog(np.r_[np.zeros(poly.n), -1.0], A_ub=np.column_stack([poly.M, norms]),
+                  b_ub=poly.b, bounds=[(None, None)] * poly.n + [(0.0, None)],
+                  method="highs")
+    assert res.success
+    points = HalfspaceIntersection(np.column_stack([poly.M, -poly.b]), res.x[:-1])
+    return points.intersections
+
+
+def same_point_sets(a, b, tol):
+    """Equal sizes and every point of each set within tol (inf-norm) of the
+    other set; for sets whose points are farther than 2 tol apart."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        return False
+    return all(
+        np.all(cKDTree(y).query(x, p=np.inf)[0] <= tol) for x, y in ((a, b), (b, a))
+    )
+
+
+def test_dual_route_matches_oracle_on_built_polytopes():
+    # Called directly, so no fallback can hide a wrong vertex set.  Only
+    # regions thinner than the slack scaling resolves leave the route.
+    stayed = thin = 0
+    for poly in spread_polytopes():
+        if poly.n == 1 or has_zero_budget(poly):
+            continue
+        feas_tol = poly.feasibility_tol()
+        try:
+            verts = _dual_transform_vertices(poly, feas_tol)
+        except _DualUntrusted:
+            thin += 1
+            continue
+        stayed += 1
+        scale = max(1.0, float(np.max(np.abs(poly.b))))
+        verts[np.abs(verts) <= feas_tol] = 0.0
+        got = _dedup_lex(verts, DEDUP_TOL * scale)
+        if poly.n <= 4:
+            expected = np.array(brute_force_vertices(poly.M, poly.b))
+        else:  # C(m, n) row subsets are too many to scan in a test
+            expected = _dedup_lex(halfspace_vertices(poly), DEDUP_TOL * scale)
+        assert same_point_sets(got, expected, 1e-7 * scale), (poly.n, poly.m)
+    assert stayed >= 40 and thin >= 10, (stayed, thin)
