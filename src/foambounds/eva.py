@@ -126,8 +126,10 @@ class EvaResult:
 
     value: float
     radii: np.ndarray
-    # Index of the best polytope vertex, or None when another solve
-    # (the two-point solve or the local ascent) beat every vertex.
+    # Index of the best vertex in the scanned list (the maximal vertices
+    # when the convex regime is certified, every vertex otherwise), or
+    # None when another solve (the two-point solve or the local ascent)
+    # beat every vertex.
     attaining_vertex: int | None
     # True when value is a proven maximum: the convex regime or a single
     # point (see convexity_certified), or two points (exact pair solve).
@@ -183,12 +185,17 @@ def maximize_eva(
 
     In the certified regime (h = 0, every reduced entry at most
     (2 - sqrt(2))/h, or a single point; see convexity_certified) the best
-    polytope vertex is the exact maximum.  Two points are solved exactly
-    by _pair_max, which replaces the vertex only when strictly better.
-    Otherwise (three or more points) the vertex scan is augmented with
-    deterministic multi-start local ascent and the better of the two is
-    returned; either way the value is attained by feasible radii, hence
-    a valid area bound.
+    polytope vertex is the exact maximum, and only the maximal vertices
+    are scanned (enumerate_vertices with maximal=True): every theta_i > 0
+    and r^2 exp(-2hr) strictly increases on [0, 1/h], so a vertex that
+    another feasible point dominates coordinate-wise neither attains nor
+    ties the maximum, and the lexicographically first best vertex is the
+    same in both lists.  Outside that regime every vertex is scanned.  Two
+    points are then solved exactly by _pair_max, which replaces the vertex
+    only when strictly better; for three or more points the vertex scan
+    is augmented with deterministic multi-start local ascent, seeded from
+    the vertices, and the better of the two is returned.  Either way the
+    value is attained by feasible radii, hence a valid area bound.
     """
     if objective is None:
         objective = EvaObjective(reduced.h)
@@ -196,13 +203,13 @@ def maximize_eva(
         raise ValueError(
             f"objective h={objective.h} disagrees with reduced matrix h={reduced.h}"
         )
+    certified = convexity_certified(reduced)
     poly = build_h_polytope(reduced)
-    verts = enumerate_vertices(poly)
+    verts = enumerate_vertices(poly, maximal=certified)
     values = objective.values(verts.vertices)
     best = int(np.argmax(values))  # first max in lex order: smallest radii win ties
     best_value = float(values[best])
     best_radii = verts.vertices[best].copy()
-    certified = convexity_certified(reduced)
     attaining: int | None = best
     if reduced.n == 2 and not certified:
         budget = reduced.entries[0, 1]

@@ -2,20 +2,49 @@
 
 The feasible radii for N points form the polytope
 
-    { r >= 0 : r_i + r_j <= d_ij for i != j, r_i <= r_max }
+    P = { r >= 0 : r_i + r_j <= d_ij for i != j, r_i <= r_max }
 
 described here by rows of a {-1, 0, +1} matrix M with M r <= b.  Two
 vertex enumerators are provided: a combinatorial active-set scan (the
 reference: every size-N row subset is solved and feasibility-filtered)
 and a polar-dual route (shift by an interior point, scale rows by slack,
-take the convex hull of the scaled rows; each hull facet maps back to a
-vertex).  The dual route is the default for larger instances and must
-agree with the reference to 1e-7.
+take the convex hull of the scaled rows and the origin; each hull facet
+away from the origin maps back to a vertex).  The dual route is the
+default for larger instances and must agree with the reference to 1e-7.
 
 The interior point needs no LP.  Every row is a pair, cap or nonneg row,
 so x0_i = min over rows k with M[k, i] = +1 of b_k / (1 + p_k), with p_k
 the number of +1 entries in row k, leaves every row with p_k > 0 a slack
 of at least b_k / (1 + p_k) and -r_i <= 0 a slack of x0_i.
+
+Maximal vertices.  An objective that strictly increases in every radius
+(eva in its certified regime) peaks at a vertex that no other point of
+P dominates coordinate-wise.  Those maximal vertices are exactly the
+vertices of the downward closure
+
+    D = P - R^N_+ = { r_i + r_j <= d_ij, r_i <= u_i },
+
+u_i being the smallest b over the +1 rows of coordinate i.  Every row of
+D is implied by P and has no negative entry, so D holds P - R^N_+;
+conversely r in D lies below p = max(r, 0), which is in P (a pair row
+with one negative end is covered by the u row of the other end).  A
+vertex of D has no negative coordinate, since every row through one is
+slack (its other end is at most u <= d) and the vertex could move both
+ways along it; so it lies in P.  It is maximal there: p >= v in P puts v
+midway between p and 2v - p, both in D.  A maximal vertex v of P is a
+vertex of D: were it the midpoint of a != b in D, the midpoint of their
+positive parts would be a point of P above v, hence v itself, which
+forces a, b >= 0 and makes v a midpoint in P.  D holds no line, as a
+line in it would leave some coordinate unbounded above against its u
+row, so the same two enumerators apply; the dual route's hull
+gains facets through the origin for D's unbounded faces, and the facet
+cut in _dual_transform_vertices drops them.
+
+Zero budgets.  A +1 row with b = 0 pins every coordinate in it to 0 at
+every vertex, and such a region has no interior for the dual route.
+enumerate_vertices enumerates the other coordinates instead (a pair row
+with one pinned end becomes a cap row of the other end) and puts the
+zeros back.
 """
 
 from __future__ import annotations
@@ -194,7 +223,7 @@ def interior_point(poly: HPolytope) -> np.ndarray:
 
 
 def enumerate_vertices(
-    poly: HPolytope, tol: float = DEDUP_TOL, method: str = "auto"
+    poly: HPolytope, tol: float = DEDUP_TOL, method: str = "auto", maximal: bool = False
 ) -> VertexSet:
     """All extreme points of the polytope, deduplicated and lex-sorted.
 
@@ -206,43 +235,133 @@ def enumerate_vertices(
             transform beyond, falling back to combinatorial if the hull
             computation fails; each fallback is logged at debug level
             with its cause.
+        maximal: return only the maximal vertices, those no other point
+            of the polytope dominates coordinate-wise: the vertices of
+            the downward closure D = {r_i + r_j <= d_ij, r_i <= u_i}
+            (see the module docstring), enumerated in place of the
+            polytope itself, with C(m, n) counted on D's rows.  An
+            objective that strictly increases in every radius attains
+            its maximum over the polytope at one of them.  Needs a
+            nonneg row on every coordinate (ValueError otherwise).
+
+    Coordinates pinned to 0 by a zero budget are set aside before the
+    route is chosen (see the module docstring); if every coordinate is
+    pinned, the origin is the only vertex.  Each call logs its route,
+    maximal flag, pinned count, the n and m of the system enumerated,
+    and the vertex count at debug level on foambounds.polytope.
     """
     if method not in ("auto", "combinatorial", "dual"):
         raise ValueError(f"unknown method {method!r}")
     if not tol >= 0.0:
         raise ValueError(f"dedup tolerance must be >= 0, got {tol!r}")
+    floored = bool(np.all(np.any(poly.M == -1.0, axis=0)))
+    if maximal and not floored:
+        raise ValueError("maximal vertices need a nonneg row on every coordinate")
     b_scale = max(1.0, float(np.max(np.abs(poly.b))))
     feas_tol = feasibility_tol_for(b_scale)
     dedup = tol * b_scale
 
-    if poly.n == 1:
-        verts = np.array([[0.0], [float(np.min(poly.b[poly.M[:, 0] == 1.0]))]])
-        return VertexSet(_dedup_lex(verts, dedup), tol)
+    # With r >= 0 on every coordinate, a +1 row with b = 0 pins each of
+    # its coordinates: exactly those whose smallest +1 budget is 0.
+    pinned = (_smallest_budgets(poly) == 0.0) & floored
+    n_pinned = int(np.count_nonzero(pinned))
+    system = _without_pinned(poly, pinned) if n_pinned else poly
 
-    if method == "auto":
-        method = (
-            "combinatorial"
-            if math.comb(poly.m, poly.n) <= _AUTO_COMBINATORIAL_LIMIT
-            else "dual"
-        )
-    if method == "dual":
-        try:
-            verts = _dual_transform_vertices(poly, feas_tol)
-            if len(verts) == 0:
-                raise _DualUntrusted("dual transform kept no feasible point")
-        except (QhullError, DegeneratePolytopeError, _DualUntrusted) as exc:
-            cause = (str(exc).strip().splitlines() or [""])[0]
-            _log.debug(
-                "dual route falls back to the combinatorial scan (n=%d, m=%d): %s: %s",
-                poly.n, poly.m, type(exc).__name__, cause,
-            )
-            verts = _combinatorial_vertices(poly, feas_tol)
+    if system is None:
+        route, free = "pinned", np.zeros((1, 0))
+    elif system.n == 1:
+        route = "interval"
+        top = float(np.min(system.b[system.M[:, 0] == 1.0]))
+        free = np.array([[top]]) if maximal else np.array([[0.0], [top]])
     else:
-        verts = _combinatorial_vertices(poly, feas_tol)
-    if len(verts) == 0:
-        raise NumericalError("vertex enumeration produced no feasible points")
+        if maximal:
+            system = _downward_closure(system)
+        route = method
+        if route == "auto":
+            route = (
+                "combinatorial"
+                if math.comb(system.m, system.n) <= _AUTO_COMBINATORIAL_LIMIT
+                else "dual"
+            )
+        if route == "dual":
+            try:
+                free = _dual_transform_vertices(system, feas_tol)
+                if len(free) == 0:
+                    raise _DualUntrusted("dual transform kept no feasible point")
+            except (QhullError, DegeneratePolytopeError, _DualUntrusted) as exc:
+                cause = (str(exc).strip().splitlines() or [""])[0]
+                _log.debug(
+                    "dual route falls back to the combinatorial scan (n=%d, m=%d): %s: %s",
+                    system.n, system.m, type(exc).__name__, cause,
+                )
+                route = "combinatorial"
+                free = _combinatorial_vertices(system, feas_tol)
+        else:
+            free = _combinatorial_vertices(system, feas_tol)
+        if len(free) == 0:
+            raise NumericalError("vertex enumeration produced no feasible points")
+    verts = free
+    if n_pinned:
+        verts = np.zeros((len(free), poly.n))
+        verts[:, ~pinned] = free
     verts[np.abs(verts) <= feas_tol] = 0.0
-    return VertexSet(_dedup_lex(verts, dedup), tol)
+    out = VertexSet(_dedup_lex(verts, dedup), tol)
+    _log.debug(
+        "enumerate_vertices: route=%s maximal=%s pinned=%d n=%d m=%d vertices=%d",
+        route, maximal, n_pinned,
+        0 if system is None else system.n, 0 if system is None else system.m, len(out),
+    )
+    return out
+
+
+def _without_pinned(poly: HPolytope, pinned: np.ndarray) -> HPolytope | None:
+    """The system over the unpinned coordinates, or None if none is left.
+
+    Rows lose their pinned entries: a pair row with one pinned end
+    becomes a cap row of the other end, and rows left with no entry (the
+    pinned coordinates' own rows, pair rows with both ends pinned) go.
+    """
+    free = np.flatnonzero(~pinned)
+    if free.size == 0:
+        return None
+    sub = poly.M[:, free]
+    keep = np.any(sub != 0.0, axis=1)
+    tags = []
+    for row in np.flatnonzero(keep).tolist():
+        coords = np.flatnonzero(sub[row]).tolist()
+        kind = poly.row_tags[row][0]
+        if kind == "pair" and len(coords) == 1:
+            kind = "cap"
+        tags.append((kind, *coords))
+    return _checked_already(sub[keep], poly.b[keep], tuple(tags))
+
+
+def _downward_closure(poly: HPolytope) -> HPolytope:
+    """D = {pair rows of poly, r_i <= u_i}: see the module docstring."""
+    u = _smallest_budgets(poly)
+    pairs = np.flatnonzero(np.count_nonzero(poly.M == 1.0, axis=1) == 2)
+    tags = tuple(poly.row_tags[k] for k in pairs.tolist())
+    tags += tuple(("cap", i) for i in range(poly.n))
+    return _checked_already(
+        np.vstack([poly.M[pairs], np.eye(poly.n)]), np.concatenate([poly.b[pairs], u]), tags
+    )
+
+
+def _smallest_budgets(poly: HPolytope) -> np.ndarray:
+    """u_i: the smallest b over the +1 rows of coordinate i."""
+    return np.min(np.where(poly.M == 1.0, poly.b[:, None], np.inf), axis=0)
+
+
+def _checked_already(M: np.ndarray, b: np.ndarray, row_tags: tuple) -> HPolytope:
+    """An HPolytope built from rows of one that passed HPolytope's checks.
+
+    Dropping pinned coordinates and taking the downward closure keep
+    every row a valid pair, cap or nonneg row with b >= 0 and every
+    coordinate bounded above, so the checks would only cost time.
+    """
+    poly = object.__new__(HPolytope)
+    poly.M, poly.b, poly.row_tags = M, b, row_tags
+    return poly
 
 
 def _combinatorial_vertices(poly: HPolytope, feas_tol: float) -> np.ndarray:
@@ -281,24 +400,31 @@ def _combinatorial_vertices(poly: HPolytope, feas_tol: float) -> np.ndarray:
 
 
 def _dual_transform_vertices(poly: HPolytope, feas_tol: float) -> np.ndarray:
-    """Polar-dual enumerator.
+    """Polar-dual enumerator, for a polytope or a pointed region like D.
 
     Shift the region by an interior point x0 so 0 is strictly inside,
-    scale each row by its slack to get {y : D y <= 1}, and take the
-    convex hull of the rows of D.  Every hull facet {z : u.z <= -d} maps
-    to the vertex x0 + u / (-d); rows of redundant constraints land
-    strictly inside the hull and drop out automatically.
+    scale each row by its slack to get {y : A y <= 1}, and take the
+    convex hull of the rows of A and the origin.  Every hull facet
+    {z : u.z <= -d} with d > 0 maps to the vertex x0 + u / (-d); rows of
+    redundant constraints land strictly inside the hull and drop out
+    automatically.  Facets through the origin belong to unbounded faces
+    of the region and are cut: a vertex lies within sqrt(n) max(b) of x0
+    (both sit in [0, max(b)]^n), so its facet has d >= 1 / (sqrt(n) max(b)),
+    and only facets with d above half that are kept.  For a polytope the
+    origin is strictly inside the hull, so it changes no facet and the
+    cut keeps every one.  The origin goes first in the point list: for D
+    Qhull then finishes in about two thirds of the time it takes with
+    the origin last.
     """
     x0 = interior_point(poly)
     slack = poly.b - poly.M @ x0
     if float(np.min(slack)) < _DUAL_MIN_INRADIUS * max(1.0, float(np.max(np.abs(poly.b)))):
         raise _DualUntrusted("region is too thin for the slack scaling")
-    dual_points = poly.M / slack[:, None]
+    dual_points = np.vstack([np.zeros(poly.n), poly.M / slack[:, None]])
     hull = ConvexHull(dual_points)
-    normals = hull.equations[:, :-1]
-    offsets = hull.equations[:, -1]
-    # 0 is strictly interior to the hull, so every facet offset is < 0.
-    verts = x0[None, :] + normals / (-offsets[:, None])
+    cut = -0.5 / (math.sqrt(poly.n) * float(np.max(poly.b)))
+    facets = hull.equations[hull.equations[:, -1] < cut]
+    verts = x0[None, :] + facets[:, :-1] / (-facets[:, -1:])
     feasible = np.all(verts @ poly.M.T <= poly.b + feas_tol, axis=1)
     return verts[feasible]
 

@@ -351,3 +351,22 @@ def test_mesh_verify_rejects_curve_points_below_one(points, tmp_path, capsys):
     ]) == 2
     assert "--curve-points" in capsys.readouterr().err
     assert not csv_path.exists()
+
+
+def test_eva_point_on_domain_boundary(tmp_path):
+    # One point exactly on the sphere zeroes every pair budget: eva is 0,
+    # attained by zero radii, instead of a refused enumeration (exit 3).
+    rng = np.random.default_rng(8)
+    inner = rng.normal(size=(7, 3))
+    inner *= 0.8 * rng.random((7, 1)) / np.linalg.norm(inner, axis=1, keepdims=True)
+    for n, h in ((8, 0.0), (7, 0.3)):
+        path = tmp_path / f"boundary{n}.json"
+        path.write_text(json.dumps({
+            "points": inner[: n - 1].tolist() + [[0.0, 0.0, 1.0]],
+            "domain": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+            "h": h,
+        }))
+        out = tmp_path / f"report{n}.json"
+        assert run(["eva", "--input", str(path), "--output", str(out)]) == 0
+        report = read_report(out)
+        assert report["eva"] == 0.0 and report["radii"] == [0.0] * n

@@ -1,7 +1,9 @@
 """The extrinsic vertex area objective, its maximizer, and subset search."""
 
 import itertools
+import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -226,6 +228,88 @@ def test_enumerate_dual_falls_back_on_degenerate():
     verts = enumerate_vertices(poly, method="dual").vertices
     assert verts.shape == (1, 2)
     assert verts[0] == pytest.approx([0.0, 0.0])
+
+
+# --- certified scan of the maximal vertices ---------------------------------
+
+
+def test_certified_scan_matches_full_vertex_scan():
+    # The certified value is the best over every vertex, with vertex and
+    # mixed densities, budgets rounded to a grid (ties) and caps (h = 3).
+    rng = np.random.default_rng(23)
+    checked = 0
+    for n in range(2, 9):
+        for h, shrink in ((0.0, 1.0), (0.3, 1.0), (3.0, 0.15)):
+            for t in range(3):
+                entries = reduce_distance_matrix(random_distance_matrix(rng, n), h).entries
+                entries = entries * shrink
+                if t == 2:
+                    grid = 0.25 * shrink
+                    entries = np.round(entries / grid) * grid
+                reduced = ReducedDistanceMatrix(entries, h)
+                weights = rng.choice(MIXED_THETAS, size=n) if t else None
+                objective = EvaObjective(h, weights)
+                res = maximize_eva(reduced, objective)
+                assert res.convexity_certified and res.attaining_vertex is not None
+                poly = build_h_polytope(reduced)
+                best = float(np.max(objective.values(enumerate_vertices(poly).vertices)))
+                assert res.value == pytest.approx(best, rel=1e-12), (n, h, t)
+                # attaining_vertex indexes the maximal vertices, the list scanned.
+                scanned = enumerate_vertices(poly, maximal=True).vertices
+                assert np.array_equal(scanned[res.attaining_vertex], res.radii)
+                checked += 1
+    assert checked == 7 * 3 * 3
+
+
+def test_certified_nine_points_scan_is_fast():
+    matrix = random_distance_matrix(np.random.default_rng(90), 9)
+    reduced = reduce_distance_matrix(matrix, 0.0)
+    scan_s = math.inf
+    for _ in range(3):  # best of three: the call is short enough to be noisy
+        start = time.perf_counter()
+        res = maximize_eva(reduced)
+        scan_s = min(scan_s, time.perf_counter() - start)
+    start = time.perf_counter()
+    full = enumerate_vertices(build_h_polytope(reduced)).vertices
+    full_s = time.perf_counter() - start
+    assert res.convexity_certified
+    assert res.value == pytest.approx(float(np.max(EvaObjective(0.0).values(full))), rel=1e-12)
+    # Scanning only the maximal vertices is about seven times faster here.
+    assert scan_s < full_s / 3.0, (scan_s, full_s)
+
+
+def test_vertex_scan_logs_maximal_flag(caplog):
+    uncertified = ReducedDistanceMatrix(np.full((3, 3), 3.0) - 3.0 * np.eye(3), 0.3)
+    for reduced, certified in ((worked_reduced(), True), (uncertified, False)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
+            res = maximize_eva(reduced)
+        assert res.convexity_certified is certified
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("enumerate_vertices:")]
+        assert len(lines) == 1 and f"maximal={certified}" in lines[0], lines
+
+
+def boundary_instance(n):
+    """n - 1 random points inside the unit ball and one exactly on it."""
+    inner = random_point_set(np.random.default_rng(n), n - 1, margin=0.9).points
+    return PointSet(np.vstack([inner, [[1.0, 0.0, 0.0]]])), Ball(np.zeros(3), 1.0)
+
+
+def test_point_on_domain_boundary_pins_every_radius():
+    # A pair budget is at most either point's boundary distance, so each
+    # pair with the boundary point has budget 0 and pins both ends: every
+    # radius is 0 at every vertex.  Without pinning the first case is
+    # refused (C(36, 8) row subsets) and the second takes over 14 s.
+    for n, h in ((8, 0.0), (7, 0.3)):
+        points, domain = boundary_instance(n)
+        matrix = build_distance_matrix(points, domain)
+        assert matrix.boundary_distances[-1] == 0.0
+        start = time.perf_counter()
+        res = maximize_eva(reduce_distance_matrix(matrix, h))
+        assert time.perf_counter() - start < 5.0
+        assert res.convexity_certified
+        assert np.array_equal(res.radii, np.zeros(n)) and res.value == 0.0
 
 
 def test_radii_capped_at_r_max_when_h_positive():

@@ -333,22 +333,140 @@ def test_dedup_matches_greedy_oracle():
     assert len(_dedup_lex(*cases["one pair tol apart among far rows"])) == 500
 
 
+# --- maximal vertices -------------------------------------------------------
+
+
+def pareto_filter(verts, tol):
+    """Rows that no other row dominates (>= everywhere, > somewhere), from
+    the definition; O(K^2)."""
+    verts = np.asarray(verts)
+    keep = [
+        not np.any(np.all(verts >= v - tol, axis=1) & np.any(verts > v + tol, axis=1))
+        for v in verts
+    ]
+    return verts[keep]
+
+
+def dominated_by_some_point(poly, v, tol):
+    """True when some point of the polytope lies above v with a larger sum:
+    max sum(r) over {M r <= b, r >= v}, by LP."""
+    res = linprog(-np.ones(poly.n), A_ub=poly.M, b_ub=poly.b,
+                  bounds=[(float(x), None) for x in v], method="highs")
+    assert res.success
+    return -res.fun > float(np.sum(v)) + tol
+
+
+def tie_heavy_polytopes():
+    """build_h_polytope output for N = 2..8, h in {0, 0.3, 3}, with budgets
+    drawn from a few values (many ties; zero budgets on some instances)."""
+    rng = np.random.default_rng(41)
+    for n in range(2, 9):
+        for h in (0.0, 0.3, 3.0):
+            for t in range(3):
+                levels = [0.0, 0.2, 0.5, 1.0] if t == 2 else [0.2, 0.5, 0.5, 1.0, 2.0]
+                entries = rng.choice(levels, size=(n, n))
+                entries = np.triu(entries, 1) + np.triu(entries, 1).T
+                if h > 0.0:
+                    entries = np.minimum(entries, 1.0 / h)
+                yield build_h_polytope(ReducedDistanceMatrix(entries, h))
+
+
+def test_maximal_vertices_are_the_pareto_filter():
+    routes = {"dual": 0, "combinatorial": 0}
+    for poly in tie_heavy_polytopes():
+        scale = max(1.0, float(np.max(poly.b)))
+        full = enumerate_vertices(poly).vertices
+        expected = pareto_filter(full, 1e-9 * scale)
+        # Every Pareto survivor is maximal in the whole polytope, not just
+        # among the vertices.
+        assert not any(dominated_by_some_point(poly, v, 1e-9 * scale) for v in expected)
+        methods = ["dual"] + (["combinatorial"] if poly.n <= 6 else [])
+        for method in methods:
+            got = enumerate_vertices(poly, method=method, maximal=True).vertices
+            assert same_point_sets(got, expected, 1e-9 * scale), (poly.n, method)
+            routes[method] += 1
+        if math.comb(poly.m, poly.n) <= 5_000:  # N <= 4, and N = 5 without caps
+            oracle = pareto_filter(np.array(brute_force_vertices(poly.M, poly.b)),
+                                   1e-9 * scale)
+            assert same_point_sets(got, oracle, 1e-9 * scale), poly.n
+    assert routes == {"dual": 63, "combinatorial": 45}
+
+
+def test_maximal_single_point_is_the_interval_top():
+    poly = build_h_polytope(ReducedDistanceMatrix(np.array([[4.0]]), 0.0))
+    assert np.array_equal(enumerate_vertices(poly, maximal=True).vertices, [[4.0]])
+
+
+def test_maximal_needs_nonneg_rows():
+    # r_1 + r_2 <= 1 with caps, but nothing bounds the radii below.
+    poly = HPolytope(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]), np.ones(3),
+                     (("pair", 0, 1), ("cap", 0), ("cap", 1)))
+    with pytest.raises(ValueError, match="nonneg"):
+        enumerate_vertices(poly, maximal=True)
+
+
+def test_zero_budget_coordinates_are_pinned():
+    pinned_instances = 0
+    for poly in spread_polytopes():
+        if not has_zero_budget(poly) or poly.n > 4:
+            continue
+        pinned_instances += 1
+        scale = max(1.0, float(np.max(np.abs(poly.b))))
+        expected = np.array(brute_force_vertices(poly.M, poly.b))
+        for method in ("auto", "dual", "combinatorial"):
+            got = enumerate_vertices(poly, method=method).vertices
+            assert same_vertex_sets(got, expected, 1e-7 * scale), (poly.n, method)
+        zero_rows = (poly.b == 0.0) & (plus_counts(poly) > 0)
+        pinned = np.any(poly.M[zero_rows] == 1.0, axis=0)
+        assert np.all(got[:, pinned] == 0.0)
+    assert pinned_instances == 4 * 3 * 2
+
+
+def test_all_coordinates_pinned():
+    # Every pair budget zero: r = 0 is the only point, on every route.
+    poly = build_h_polytope(ReducedDistanceMatrix(np.zeros((4, 4)), 0.3))
+    for maximal in (False, True):
+        for method in ("auto", "dual", "combinatorial"):
+            verts = enumerate_vertices(poly, method=method, maximal=maximal).vertices
+            assert np.array_equal(verts, np.zeros((1, 4)))
+
+
 # --- route logging ----------------------------------------------------------
 
 
+def fallback_records(caplog):
+    return [r for r in caplog.records if "falls back" in r.getMessage()]
+
+
 def test_dual_fallback_is_logged(caplog):
-    zero_budget = build_h_polytope(
-        ReducedDistanceMatrix(np.array([[0.0, 0.0], [0.0, 0.0]]), 0.0)
+    # A budget below the interior point's 1e-11 threshold, yet not zero,
+    # so it is not pinned and the dual route meets the degenerate region.
+    tiny_budget = build_h_polytope(
+        ReducedDistanceMatrix(np.array([[0.0, 1e-13], [1e-13, 0.0]]), 0.0)
     )
     thin = build_h_polytope(ReducedDistanceMatrix(
         np.array([[0.0, 1e-8, 1.0], [1e-8, 0.0, 1.0], [1.0, 1.0, 0.0]]), 0.0
     ))
-    for poly, cause in ((zero_budget, "DegeneratePolytopeError"), (thin, "too thin")):
+    for poly, cause in ((tiny_budget, "DegeneratePolytopeError"), (thin, "too thin")):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
             enumerate_vertices(poly, method="dual")
-        assert len(caplog.records) == 1
+        assert len(fallback_records(caplog)) == 1
         assert "falls back to the combinatorial scan" in caplog.text and cause in caplog.text
+        assert "route=combinatorial" in caplog.records[-1].getMessage()
+
+
+def test_zero_budget_is_pinned_not_a_fallback(caplog):
+    zero_budget = build_h_polytope(
+        ReducedDistanceMatrix(np.array([[0.0, 0.0], [0.0, 0.0]]), 0.0)
+    )
+    with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
+        verts = enumerate_vertices(zero_budget, method="dual")
+    assert np.array_equal(verts.vertices, [[0.0, 0.0]])
+    assert fallback_records(caplog) == []
+    assert [r.getMessage() for r in caplog.records] == [
+        "enumerate_vertices: route=pinned maximal=False pinned=2 n=0 m=0 vertices=1"
+    ]
 
 
 def test_full_dimensional_instance_stays_on_dual_route(caplog):
@@ -358,7 +476,11 @@ def test_full_dimensional_instance_stays_on_dual_route(caplog):
     with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
         verts = enumerate_vertices(poly)
     assert len(verts) > 0
-    assert caplog.records == []
+    assert fallback_records(caplog) == []
+    assert [r.getMessage() for r in caplog.records] == [
+        f"enumerate_vertices: route=dual maximal=False pinned=0 n=7 m={poly.m} "
+        f"vertices={len(verts)}"
+    ]
 
 
 # --- interior point ---------------------------------------------------------
