@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=float, default=None, help="override the curvature bound")
         if name == "eva":
             p.add_argument("--tol", type=float, default=DEDUP_TOL,
-                           help="vertex dedup tolerance for --dump-polytope")
+                           help="vertex dedup tolerance for --dump-polytope, "
+                                "relative to each radius's budget")
             p.add_argument("--dump-polytope", help="also dump the H-representation and vertices")
         if name == "eva-exact":
             p.add_argument("--max-exact-n", type=int, default=8, help="subset enumeration size cap")

@@ -460,9 +460,11 @@ def _subset_upper_bounds(
     single = np.minimum(matrix.boundary_distances, r_max)
     budgets = np.where(members.sum(axis=1)[:, None] == 1, single, budgets)
     # A vertex meets r_i + r_j <= R_ij and r_j >= 0 only to within the
-    # enumerator's feasibility tolerance t, so r_i can exceed u_i by 2t.
-    # t scales with the largest right-hand side of any subset polytope,
-    # which is among these values.
+    # enumerator's per-row feasibility tolerance, so r_i can exceed u_i by
+    # twice that.  Each row's tolerance is FEASIBILITY_TOL times a budget
+    # of the subset polytope, hence at most t = feasibility_tol_for(its
+    # largest right-hand side), which is among these values; widening by
+    # 2t keeps the bound sound.
     rhs = np.concatenate([reduced.entries.ravel(), single, [r_max]])
     widen = 2.0 * feasibility_tol_for(np.max(rhs[np.isfinite(rhs)]))
     unbounded = np.any(members & np.isinf(budgets), axis=1)

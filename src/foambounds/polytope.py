@@ -10,12 +10,21 @@ reference: every size-N row subset is solved and feasibility-filtered)
 and a polar-dual route (shift by an interior point, scale rows by slack,
 take the convex hull of the scaled rows and the origin; each hull facet
 away from the origin maps back to a vertex).  The dual route is the
-default for larger instances and must agree with the reference to 1e-7.
+default beyond a hundred row subsets and must agree with the reference
+to 1e-7.
 
 The interior point needs no LP.  Every row is a pair, cap or nonneg row,
 so x0_i = min over rows k with M[k, i] = +1 of b_k / (1 + p_k), with p_k
 the number of +1 entries in row k, leaves every row with p_k > 0 a slack
 of at least b_k / (1 + p_k) and -r_i <= 0 a slack of x0_i.
+
+Budget frame.  With u_i the smallest b over the +1 rows of coordinate i,
+0 <= r_i <= u_i on P, so each radius is measured against its own budget:
+both routes accept row k when (M r)_k <= b_k plus FEASIBILITY_TOL times
+the largest u over the row's coordinates, |r_i| <= FEASIBILITY_TOL u_i
+is snapped to 0, and the dedup compares r_i / u_i.  A point near the
+domain boundary makes every u_i small, while pair rows elsewhere keep
+budgets near the domain size; in the budget frame it is no special case.
 
 Maximal vertices.  An objective that strictly increases in every radius
 (eva in its certified regime) peaks at a vertex that no other point of
@@ -38,7 +47,8 @@ forces a, b >= 0 and makes v a midpoint in P.  D holds no line, as a
 line in it would leave some coordinate unbounded above against its u
 row, so the same two enumerators apply; the dual route's hull
 gains facets through the origin for D's unbounded faces, and the facet
-cut in _dual_transform_vertices drops them.
+cut in _dual_transform_vertices drops them.  D has the same u as P, so
+the same budget frame.
 
 Zero budgets.  A +1 row with b = 0 pins every coordinate in it to 0 at
 every vertex, and such a region has no interior for the dual route.
@@ -62,35 +72,29 @@ from .geometry import ReducedDistanceMatrix
 
 _log = logging.getLogger(__name__)
 
-# Feasibility tolerance, absolute on b scaled to unit max (i.e. multiply by
-# ||b||_inf for the raw scale); dedup tolerance, relative to ||b||_inf.
-# These match the conditioning of {-1, 0, 1} constraint matrices in doubles.
+# Feasibility and dedup tolerances, relative to the budgets u_i (see the
+# module docstring).  These match the conditioning of {-1, 0, 1}
+# constraint matrices in doubles.
 FEASIBILITY_TOL = 1e-9
 DEDUP_TOL = 1e-7
 
 
 def feasibility_tol_for(b_max: float) -> float:
-    """Absolute feasibility tolerance for a system whose largest |b| is b_max."""
+    """Absolute feasibility tolerance for a system whose largest |b| is b_max:
+    at least every per-row tolerance of enumerate_vertices."""
     return FEASIBILITY_TOL * max(1.0, float(b_max))
 
-# Row-subset count above which the combinatorial scan hands over to the
-# dual-transform route (or refuses, if used as a forced fallback).
-_AUTO_COMBINATORIAL_LIMIT = 20_000
+
+# Row-subset count above which enumerate_vertices takes the dual-transform
+# route instead of the combinatorial scan: the measured crossover, the two
+# being even at C(9, 3) = 84 and the dual route faster from C(10, 4) = 210.
+_AUTO_COMBINATORIAL_LIMIT = 100
 _COMBINATORIAL_HARD_LIMIT = 20_000_000
 _CHUNK = 65_536
-
-# Minimum inradius (relative to ||b||_inf) for the dual transform to be
-# trusted; thinner regions blow up the slack-scaled dual points beyond
-# what the hull computation resolves, so they take the exact route.
-_DUAL_MIN_INRADIUS = 1e-6
 
 
 # Per tag kind: how many +1 and -1 entries (in that order) its row holds.
 _ROW_PATTERN = {"pair": (2, 0), "nonneg": (0, 1), "cap": (1, 0)}
-
-
-class _DualUntrusted(Exception):
-    """Internal: the dual transform would be numerically unreliable."""
 
 
 @dataclass(eq=False)
@@ -208,14 +212,14 @@ def interior_point(poly: HPolytope) -> np.ndarray:
     is the number of +1 entries in row k.  Every coordinate has such a row
     (HPolytope checks it) and every row is a pair, cap or nonneg row, so a
     row with p_k > 0 sums at most p_k shares of b_k / (1 + p_k) and keeps
-    slack >= b_k / (1 + p_k), while -r_i <= 0 keeps slack x0_i.  Raises
-    DegeneratePolytopeError when min(x0) is (numerically) zero, i.e. some
-    budget is zero and the region is lower-dimensional.
+    slack >= b_k / (1 + p_k), while -r_i <= 0 keeps slack x0_i.  So x0 > 0
+    however small the budgets, unless one is 0: then the region is
+    lower-dimensional and DegeneratePolytopeError is raised.
     """
     plus = poly.M == 1.0
     share = poly.b / (1.0 + np.count_nonzero(plus, axis=1))
     x0 = np.min(np.where(plus, share[:, None], np.inf), axis=0)
-    if not float(np.min(x0)) > 1e-11 * max(1.0, float(np.max(np.abs(poly.b)))):
+    if not float(np.min(x0)) > 0.0:
         raise DegeneratePolytopeError(
             "no strictly feasible point: the region is lower-dimensional"
         )
@@ -223,47 +227,42 @@ def interior_point(poly: HPolytope) -> np.ndarray:
 
 
 def enumerate_vertices(
-    poly: HPolytope, tol: float = DEDUP_TOL, method: str = "auto", maximal: bool = False
+    poly: HPolytope, tol: float = DEDUP_TOL, maximal: bool = False
 ) -> VertexSet:
     """All extreme points of the polytope, deduplicated and lex-sorted.
 
     Args:
-        poly: bounded, feasible inequality system.
-        tol: dedup tolerance, relative to ||b||_inf.
-        method: "auto", "combinatorial", or "dual".  Auto uses the
-            combinatorial scan while C(m, n) stays small and the dual
-            transform beyond, falling back to combinatorial if the hull
-            computation fails; each fallback is logged at debug level
-            with its cause.
+        poly: bounded, feasible inequality system with a nonneg row on
+            every coordinate (ValueError otherwise).
+        tol: dedup tolerance, relative to each radius's budget u_i (see
+            the module docstring).
         maximal: return only the maximal vertices, those no other point
             of the polytope dominates coordinate-wise: the vertices of
             the downward closure D = {r_i + r_j <= d_ij, r_i <= u_i}
             (see the module docstring), enumerated in place of the
             polytope itself, with C(m, n) counted on D's rows.  An
             objective that strictly increases in every radius attains
-            its maximum over the polytope at one of them.  Needs a
-            nonneg row on every coordinate (ValueError otherwise).
+            its maximum over the polytope at one of them.
 
-    Coordinates pinned to 0 by a zero budget are set aside before the
-    route is chosen (see the module docstring); if every coordinate is
-    pinned, the origin is the only vertex.  Each call logs its route,
-    maximal flag, pinned count, the n and m of the system enumerated,
-    and the vertex count at debug level on foambounds.polytope.
+    The combinatorial scan runs while C(m, n) stays small, the dual
+    transform beyond; if its hull computation fails, the scan takes over
+    and the fallback is logged at debug level with its cause.  Every
+    tolerance is measured in the budget frame.  Coordinates pinned to 0
+    by a zero budget are set aside before the route is chosen (see the
+    module docstring); if every coordinate is pinned, the origin is the
+    only vertex.  Each call logs its route, maximal flag, pinned count,
+    the n and m of the system enumerated, and the vertex count at debug
+    level on foambounds.polytope.
     """
-    if method not in ("auto", "combinatorial", "dual"):
-        raise ValueError(f"unknown method {method!r}")
     if not tol >= 0.0:
         raise ValueError(f"dedup tolerance must be >= 0, got {tol!r}")
-    floored = bool(np.all(np.any(poly.M == -1.0, axis=0)))
-    if maximal and not floored:
-        raise ValueError("maximal vertices need a nonneg row on every coordinate")
-    b_scale = max(1.0, float(np.max(np.abs(poly.b))))
-    feas_tol = feasibility_tol_for(b_scale)
-    dedup = tol * b_scale
+    if not np.all(np.any(poly.M == -1.0, axis=0)):
+        raise ValueError("vertex enumeration needs a nonneg row on every coordinate")
 
     # With r >= 0 on every coordinate, a +1 row with b = 0 pins each of
     # its coordinates: exactly those whose smallest +1 budget is 0.
-    pinned = (_smallest_budgets(poly) == 0.0) & floored
+    budgets = _smallest_budgets(poly)
+    pinned = budgets == 0.0
     n_pinned = int(np.count_nonzero(pinned))
     system = _without_pinned(poly, pinned) if n_pinned else poly
 
@@ -271,24 +270,23 @@ def enumerate_vertices(
         route, free = "pinned", np.zeros((1, 0))
     elif system.n == 1:
         route = "interval"
-        top = float(np.min(system.b[system.M[:, 0] == 1.0]))
+        top = float(budgets[~pinned][0])
         free = np.array([[top]]) if maximal else np.array([[0.0], [top]])
     else:
         if maximal:
-            system = _downward_closure(system)
-        route = method
-        if route == "auto":
-            route = (
-                "combinatorial"
-                if math.comb(system.m, system.n) <= _AUTO_COMBINATORIAL_LIMIT
-                else "dual"
-            )
-        if route == "dual":
+            system = _downward_closure(system, budgets[~pinned])
+        # Row k's tolerance is measured against the largest budget of its
+        # coordinates, so it never exceeds feasibility_tol_for(max b).
+        row_budget = np.where(system.M != 0.0, budgets[~pinned], 0.0)
+        feas_tol = FEASIBILITY_TOL * np.max(row_budget, axis=1)
+        if math.comb(system.m, system.n) <= _AUTO_COMBINATORIAL_LIMIT:
+            route = "combinatorial"
+            free = _combinatorial_vertices(system, feas_tol)
+        else:
+            route = "dual"
             try:
                 free = _dual_transform_vertices(system, feas_tol)
-                if len(free) == 0:
-                    raise _DualUntrusted("dual transform kept no feasible point")
-            except (QhullError, DegeneratePolytopeError, _DualUntrusted) as exc:
+            except QhullError as exc:
                 cause = (str(exc).strip().splitlines() or [""])[0]
                 _log.debug(
                     "dual route falls back to the combinatorial scan (n=%d, m=%d): %s: %s",
@@ -296,16 +294,16 @@ def enumerate_vertices(
                 )
                 route = "combinatorial"
                 free = _combinatorial_vertices(system, feas_tol)
-        else:
-            free = _combinatorial_vertices(system, feas_tol)
         if len(free) == 0:
             raise NumericalError("vertex enumeration produced no feasible points")
     verts = free
     if n_pinned:
         verts = np.zeros((len(free), poly.n))
         verts[:, ~pinned] = free
-    verts[np.abs(verts) <= feas_tol] = 0.0
-    out = VertexSet(_dedup_lex(verts, dedup), tol)
+    # Pinned coordinates are exact zeros; a unit frame leaves them so.
+    frame = np.where(pinned, 1.0, budgets)
+    verts[np.abs(verts) <= FEASIBILITY_TOL * frame] = 0.0
+    out = VertexSet(_dedup_lex(verts, tol, frame), tol)
     _log.debug(
         "enumerate_vertices: route=%s maximal=%s pinned=%d n=%d m=%d vertices=%d",
         route, maximal, n_pinned,
@@ -336,9 +334,8 @@ def _without_pinned(poly: HPolytope, pinned: np.ndarray) -> HPolytope | None:
     return _checked_already(sub[keep], poly.b[keep], tuple(tags))
 
 
-def _downward_closure(poly: HPolytope) -> HPolytope:
+def _downward_closure(poly: HPolytope, u: np.ndarray) -> HPolytope:
     """D = {pair rows of poly, r_i <= u_i}: see the module docstring."""
-    u = _smallest_budgets(poly)
     pairs = np.flatnonzero(np.count_nonzero(poly.M == 1.0, axis=1) == 2)
     tags = tuple(poly.row_tags[k] for k in pairs.tolist())
     tags += tuple(("cap", i) for i in range(poly.n))
@@ -364,7 +361,7 @@ def _checked_already(M: np.ndarray, b: np.ndarray, row_tags: tuple) -> HPolytope
     return poly
 
 
-def _combinatorial_vertices(poly: HPolytope, feas_tol: float) -> np.ndarray:
+def _combinatorial_vertices(poly: HPolytope, feas_tol: np.ndarray) -> np.ndarray:
     """Reference enumerator: solve every size-n active row subset.
 
     M has integer entries, so a subset is nonsingular exactly when its
@@ -399,7 +396,7 @@ def _combinatorial_vertices(poly: HPolytope, feas_tol: float) -> np.ndarray:
     return np.vstack(found)
 
 
-def _dual_transform_vertices(poly: HPolytope, feas_tol: float) -> np.ndarray:
+def _dual_transform_vertices(poly: HPolytope, feas_tol: np.ndarray) -> np.ndarray:
     """Polar-dual enumerator, for a polytope or a pointed region like D.
 
     Shift the region by an interior point x0 so 0 is strictly inside,
@@ -414,12 +411,10 @@ def _dual_transform_vertices(poly: HPolytope, feas_tol: float) -> np.ndarray:
     origin is strictly inside the hull, so it changes no facet and the
     cut keeps every one.  The origin goes first in the point list: for D
     Qhull then finishes in about two thirds of the time it takes with
-    the origin last.
+    the origin last.  feas_tol holds one tolerance per row.
     """
     x0 = interior_point(poly)
     slack = poly.b - poly.M @ x0
-    if float(np.min(slack)) < _DUAL_MIN_INRADIUS * max(1.0, float(np.max(np.abs(poly.b)))):
-        raise _DualUntrusted("region is too thin for the slack scaling")
     dual_points = np.vstack([np.zeros(poly.n), poly.M / slack[:, None]])
     hull = ConvexHull(dual_points)
     cut = -0.5 / (math.sqrt(poly.n) * float(np.max(poly.b)))
@@ -429,33 +424,35 @@ def _dual_transform_vertices(poly: HPolytope, feas_tol: float) -> np.ndarray:
     return verts[feasible]
 
 
-def _dedup_lex(verts: np.ndarray, dedup_tol: float) -> np.ndarray:
+def _dedup_lex(verts: np.ndarray, dedup_tol: float, frame: np.ndarray) -> np.ndarray:
     """Lex-sort rows and drop near-duplicates, greedily in sorted order.
 
-    A row is dropped iff it lies within dedup_tol (inf-norm, inclusive) of
-    an earlier row of the sorted order that was itself kept.  An exact
-    repeat of the row before it always shares that row's fate, so repeats
-    are cut first.  A nearest-other-row query then screens out the rows
-    with no other row within dedup_tol: they are in no close pair, and
-    usually that is every row.  One k-d tree query lists every close pair
-    of the rows left (i < j in sorted order); visiting the pairs by
-    increasing j settles each row's fate before any later row asks about
-    it, so only close pairs are ever looked at.  Needs dedup_tol >= 0.
+    A row is dropped iff, divided by the frame, it lies within dedup_tol
+    (inf-norm, inclusive) of an earlier kept row of the sorted order; kept
+    rows are returned unscaled.  An exact repeat of the row before it
+    always shares that row's fate, so repeats are cut first.  A
+    nearest-other-row query then screens out the rows with no other row
+    within dedup_tol: they are in no close pair, and usually that is
+    every row.  One k-d tree query lists every close pair of the rows
+    left (i < j in sorted order); visiting the pairs by increasing j
+    settles each row's fate before any later row asks about it, so only
+    close pairs are ever looked at.  Needs dedup_tol >= 0 and frame > 0.
     """
     verts = verts[np.lexsort(verts.T[::-1])]
+    scaled = verts / frame
     distinct = np.ones(len(verts), dtype=bool)
-    distinct[1:] = np.any(verts[1:] != verts[:-1], axis=1)
-    verts = verts[distinct]
+    distinct[1:] = np.any(scaled[1:] != scaled[:-1], axis=1)
+    verts, scaled = verts[distinct], scaled[distinct]
     # Rows are distinct, so each row's nearest hit is itself and the second
     # is its nearest other row (inf when none lies within the bound, which
     # cKDTree treats as strict, hence the nextafter).
-    nearest, _ = cKDTree(verts).query(
-        verts, k=2, p=np.inf, distance_upper_bound=np.nextafter(dedup_tol, np.inf)
+    nearest, _ = cKDTree(scaled).query(
+        scaled, k=2, p=np.inf, distance_upper_bound=np.nextafter(dedup_tol, np.inf)
     )
     close = np.flatnonzero(nearest[:, 1] <= dedup_tol)
     if close.size == 0:
         return verts
-    pairs = cKDTree(verts[close]).query_pairs(dedup_tol, p=np.inf, output_type="ndarray")
+    pairs = cKDTree(scaled[close]).query_pairs(dedup_tol, p=np.inf, output_type="ndarray")
     pairs = close[pairs[np.argsort(pairs[:, 1])]]
     keep = [True] * len(verts)
     for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):

@@ -1,6 +1,9 @@
-"""Shared fixtures: the worked 3-point configuration and random instances."""
+"""Shared fixtures: the worked 3-point configuration, random instances and
+the vertex enumeration route."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from foambounds import (
     HalfspaceIntersection,
     PointSet,
     build_distance_matrix,
+    polytope,
 )
 
 # Collinear points at mutual distances 1, 2, 3, all at distance 4 from the
@@ -26,6 +30,20 @@ WORKED_MATRIX = np.array(
     ]
 )
 WORKED_REDUCED = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+
+
+@pytest.fixture
+def vertex_route(monkeypatch):
+    """Call vertex_route("dual") or vertex_route("combinatorial") to make
+    enumerate_vertices take that route for the rest of the test, and
+    vertex_route("auto") to restore its size rule."""
+    limits = {"auto": polytope._AUTO_COMBINATORIAL_LIMIT, "dual": 0,
+              "combinatorial": math.inf}
+
+    def choose(route: str) -> None:
+        monkeypatch.setattr(polytope, "_AUTO_COMBINATORIAL_LIMIT", limits[route])
+
+    return choose
 
 
 @pytest.fixture

@@ -353,20 +353,45 @@ def test_mesh_verify_rejects_curve_points_below_one(points, tmp_path, capsys):
     assert not csv_path.exists()
 
 
-def test_eva_point_on_domain_boundary(tmp_path):
-    # One point exactly on the sphere zeroes every pair budget: eva is 0,
-    # attained by zero radii, instead of a refused enumeration (exit 3).
+def ball_instance(tmp_path, n, gap, h):
+    """n points in the unit ball, the last one gap inside the sphere (on it
+    when gap = 0), as an instance file."""
     rng = np.random.default_rng(8)
     inner = rng.normal(size=(7, 3))
     inner *= 0.8 * rng.random((7, 1)) / np.linalg.norm(inner, axis=1, keepdims=True)
+    path = tmp_path / f"ball{n}_{gap}_{h}.json"
+    path.write_text(json.dumps({
+        "points": inner[: n - 1].tolist() + [[0.0, 0.0, 1.0 - gap]],
+        "domain": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+        "h": h,
+    }))
+    return str(path)
+
+
+def test_eva_point_on_domain_boundary(tmp_path):
+    # One point exactly on the sphere zeroes every pair budget: eva is 0,
+    # attained by zero radii, instead of a refused enumeration (exit 3).
     for n, h in ((8, 0.0), (7, 0.3)):
-        path = tmp_path / f"boundary{n}.json"
-        path.write_text(json.dumps({
-            "points": inner[: n - 1].tolist() + [[0.0, 0.0, 1.0]],
-            "domain": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
-            "h": h,
-        }))
         out = tmp_path / f"report{n}.json"
-        assert run(["eva", "--input", str(path), "--output", str(out)]) == 0
+        assert run(["eva", "--input", ball_instance(tmp_path, n, 0.0, h),
+                    "--output", str(out)]) == 0
         report = read_report(out)
         assert report["eva"] == 0.0 and report["radii"] == [0.0] * n
+
+
+def test_eva_point_near_domain_boundary(tmp_path):
+    # One point 1e-7 inside the sphere caps every budget at 1e-7.  Eight
+    # points need the dual route there (C(36, 8) row subsets are too many
+    # to scan), and at 1e-10 inside every vertex lies within 1e-9 ||b||
+    # of the origin, so only tolerances relative to each budget keep
+    # eva > 0.  Radii of at most 1e-7 put e^(-2hr) within 6e-7 of 1, so
+    # h = 3 agrees with h = 0 to 1e-6.
+    values = {}
+    for n, gap, h in ((8, 1e-7, 0.0), (8, 1e-7, 3.0), (6, 1e-10, 0.0)):
+        out = tmp_path / f"report{n}_{h}.json"
+        assert run(["eva", "--input", ball_instance(tmp_path, n, gap, h),
+                    "--output", str(out)]) == 0
+        values[n, h] = read_report(out)["eva"]
+    assert values[8, 0.0] == pytest.approx(4.0123e-13, rel=1e-4)
+    assert values[8, 3.0] == pytest.approx(values[8, 0.0], rel=1e-6)
+    assert values[6, 0.0] > 0.0

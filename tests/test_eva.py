@@ -220,12 +220,13 @@ def test_degenerate_polytope_falls_back_to_vertex_scan():
     )
 
 
-def test_enumerate_dual_falls_back_on_degenerate():
+def test_enumerate_dual_falls_back_on_degenerate(vertex_route):
     from foambounds import build_h_polytope, enumerate_vertices
 
     d = np.array([[0.0, 0.0], [0.0, 0.0]])
     poly = build_h_polytope(ReducedDistanceMatrix(d, 0.0))
-    verts = enumerate_vertices(poly, method="dual").vertices
+    vertex_route("dual")
+    verts = enumerate_vertices(poly).vertices
     assert verts.shape == (1, 2)
     assert verts[0] == pytest.approx([0.0, 0.0])
 
@@ -290,10 +291,11 @@ def test_vertex_scan_logs_maximal_flag(caplog):
         assert len(lines) == 1 and f"maximal={certified}" in lines[0], lines
 
 
-def boundary_instance(n):
-    """n - 1 random points inside the unit ball and one exactly on it."""
+def boundary_instance(n, gap=0.0):
+    """n - 1 random points inside the unit ball and one gap inside its
+    sphere (on it when gap = 0)."""
     inner = random_point_set(np.random.default_rng(n), n - 1, margin=0.9).points
-    return PointSet(np.vstack([inner, [[1.0, 0.0, 0.0]]])), Ball(np.zeros(3), 1.0)
+    return PointSet(np.vstack([inner, [[1.0 - gap, 0.0, 0.0]]])), Ball(np.zeros(3), 1.0)
 
 
 def test_point_on_domain_boundary_pins_every_radius():
@@ -310,6 +312,37 @@ def test_point_on_domain_boundary_pins_every_radius():
         assert time.perf_counter() - start < 5.0
         assert res.convexity_certified
         assert np.array_equal(res.radii, np.zeros(n)) and res.value == 0.0
+
+
+def test_point_near_domain_boundary_needs_no_fallback(caplog, vertex_route):
+    # One point a gap inside the sphere caps every pair budget with it at
+    # the gap, so every u_i and every radius is at most the gap, while the
+    # other pair budgets stay near 1.  Measured against each radius's own
+    # budget, such a region is neither thin nor special to either route.
+    # As f(r) = r^2 e^(-2hr) lies within e^(-2h gap) of r^2 there, the
+    # value at h sits between e^(-2h gap) and 1 times the h = 0 value.
+    for n in range(2, 9):
+        for gap in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+            matrix = build_distance_matrix(*boundary_instance(n, gap))
+            values = {}
+            for h in (0.0, 0.3, 3.0):
+                reduced = reduce_distance_matrix(matrix, h)
+                vertex_route("auto")
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
+                    values[h] = maximize_eva(reduced).value
+                assert not [r for r in caplog.records if "falls back" in r.getMessage()]
+                if n <= 5:
+                    vertex_route("combinatorial")
+                    reference = maximize_eva(reduced).value
+                    assert values[h] == pytest.approx(reference, rel=1e-9), (n, gap, h)
+            bound = matrix.boundary_distances[-1]
+            assert 0.0 < values[0.0] and np.all(reduced.entries[-1] <= bound)
+            for h in (0.3, 3.0):
+                lower = math.exp(-2.0 * h * bound) * values[0.0] * (1.0 - 1e-12)
+                assert lower <= values[h] <= values[0.0] * (1.0 + 1e-12), (n, gap, h)
+            if gap <= 1e-7:
+                assert values[3.0] == pytest.approx(values[0.0], rel=1e-6), (n, gap)
 
 
 def test_radii_capped_at_r_max_when_h_positive():

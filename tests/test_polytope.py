@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection, cKDTree
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError, cKDTree
 
 from foambounds import (
     DegeneratePolytopeError,
@@ -20,12 +20,13 @@ from foambounds import (
     interior_point,
     reduce_distance_matrix,
 )
+from foambounds import polytope
 from foambounds.polytope import (
     _AUTO_COMBINATORIAL_LIMIT,
     DEDUP_TOL,
+    FEASIBILITY_TOL,
     _dedup_lex,
     _dual_transform_vertices,
-    _DualUntrusted,
 )
 
 from conftest import WORKED_REDUCED, random_distance_matrix
@@ -49,27 +50,42 @@ def worked_polytope() -> HPolytope:
 # --- independent oracle -----------------------------------------------------
 
 
-def brute_force_vertices(M, b, tol=1e-7):
+def brute_force_vertices(M, b, tol=1e-7, frame=None, feas_tol=None):
     """All feasible basic solutions: size-n row subsets, solved and filtered.
 
     Written from the definition and kept independent of the library's
     enumerators (rank check via matrix_rank, plain solve, list dedup).
+    Tolerances are relative to max(1, ||b||_inf), or, given a frame (one
+    positive scale per coordinate), to it: a row may exceed its b by
+    feas_tol (default tol) times the largest scale of its coordinates,
+    and solutions within tol of each other as x / frame are merged.
     """
     m, n = M.shape
-    scale = max(1.0, float(np.max(np.abs(b))))
+    if frame is None:
+        frame = np.full(n, max(1.0, float(np.max(np.abs(b)))))
+    if feas_tol is None:
+        feas_tol = tol
+    row_tol = feas_tol * np.max(np.where(M != 0.0, frame, 0.0), axis=1)
     found = []
     for rows in itertools.combinations(range(m), n):
         sub = M[list(rows)]
         if np.linalg.matrix_rank(sub) < n:
             continue
         x = np.linalg.solve(sub, b[list(rows)])
-        if np.all(M @ x <= b + tol * scale):
+        if np.all(M @ x <= b + row_tol):
             found.append(x)
     unique = []
     for x in found:
-        if not any(np.max(np.abs(x - u)) <= tol * scale for u in unique):
+        if not any(np.max(np.abs(x - u) / frame) <= tol for u in unique):
             unique.append(x)
     return unique
+
+
+def budget_frame(poly):
+    """u_i, the smallest b over the +1 rows of coordinate i, or 1 where
+    that is 0 (such a coordinate is 0 at every vertex)."""
+    u = np.min(np.where(poly.M == 1.0, poly.b[:, None], np.inf), axis=0)
+    return np.where(u > 0.0, u, 1.0)
 
 
 def same_vertex_sets(a, b, tol):
@@ -183,11 +199,13 @@ def test_hpolytope_rejects_bad_entries():
 # --- enumeration ------------------------------------------------------------
 
 
-def test_enumerate_worked_example_vertices():
-    for method in ("combinatorial", "dual"):
-        verts = enumerate_vertices(worked_polytope(), method=method)
-        assert same_vertex_sets(verts.vertices, WORKED_VERTICES, 1e-9), method
+def test_enumerate_worked_example_vertices(vertex_route):
+    for route in ("combinatorial", "dual"):
+        vertex_route(route)
+        verts = enumerate_vertices(worked_polytope())
+        assert same_vertex_sets(verts.vertices, WORKED_VERTICES, 1e-9), route
     # Deterministic lexicographic order on the default path.
+    vertex_route("auto")
     out = enumerate_vertices(worked_polytope()).vertices
     assert np.array_equal(out, WORKED_VERTICES)
     with pytest.raises(ValueError):
@@ -208,7 +226,7 @@ def test_printed_point_is_not_extreme():
     assert np.allclose(point, 0.5 * (np.array([0, 1, 0]) + np.array([0, 1, 2])))
 
 
-def test_enumerate_matches_oracle_random():
+def test_enumerate_matches_oracle_random(vertex_route):
     rng = np.random.default_rng(2024)
     for trial in range(25):
         n = int(rng.integers(2, 6))
@@ -217,18 +235,21 @@ def test_enumerate_matches_oracle_random():
         poly = build_h_polytope(reduce_distance_matrix(matrix, h))
         expected = brute_force_vertices(poly.M, poly.b)
         scale = max(1.0, float(np.max(np.abs(poly.b))))
-        for method in ("combinatorial", "dual"):
-            got = enumerate_vertices(poly, method=method).vertices
-            assert same_vertex_sets(got, expected, 1e-7 * scale), (trial, method)
+        for route in ("combinatorial", "dual"):
+            vertex_route(route)
+            got = enumerate_vertices(poly).vertices
+            assert same_vertex_sets(got, expected, 1e-7 * scale), (trial, route)
 
 
-def test_methods_agree_on_larger_instances():
+def test_methods_agree_on_larger_instances(vertex_route):
     rng = np.random.default_rng(5)
     for _ in range(5):
         matrix = random_distance_matrix(rng, 6)
         poly = build_h_polytope(reduce_distance_matrix(matrix, 0.0))
-        a = enumerate_vertices(poly, method="combinatorial").vertices
-        b = enumerate_vertices(poly, method="dual").vertices
+        vertex_route("combinatorial")
+        a = enumerate_vertices(poly).vertices
+        vertex_route("dual")
+        b = enumerate_vertices(poly).vertices
         scale = max(1.0, float(np.max(np.abs(poly.b))))
         assert same_vertex_sets(a, b, 1e-7 * scale)
 
@@ -324,13 +345,21 @@ def test_dedup_matches_greedy_oracle():
         ),
     }
     for name, (verts, t) in cases.items():
-        assert np.array_equal(_dedup_lex(verts, t), greedy_dedup_oracle(verts, t)), name
+        unit = np.ones(verts.shape[1])
+        assert np.array_equal(_dedup_lex(verts, t, unit), greedy_dedup_oracle(verts, t)), name
+        # In a frame of powers of two, the distances are those of verts / frame
+        # exactly, and the rows come back unscaled.
+        frame = 2.0 ** rng.integers(-40, 40, size=verts.shape[1])
+        kept = greedy_dedup_oracle(verts / frame, t) * frame
+        assert np.array_equal(_dedup_lex(verts, t, frame), kept), name
     assert len(np.unique(cases["jittered clusters"][0], axis=0)) > len(np.unique(small, axis=0))
     # The middle of the chain (and its repeat) is dropped, being near a, so
     # it cannot merge a with a + 1.2 tol, which is farther than tol from a:
     # both ends stay.
-    assert np.array_equal(_dedup_lex(cases["chain"][0], tol), np.array([a, a + 1.2 * tol]))
-    assert len(_dedup_lex(*cases["one pair tol apart among far rows"])) == 500
+    chain = _dedup_lex(cases["chain"][0], tol, np.ones(3))
+    assert np.array_equal(chain, np.array([a, a + 1.2 * tol]))
+    far_rows, t = cases["one pair tol apart among far rows"]
+    assert len(_dedup_lex(far_rows, t, np.ones(3))) == 500
 
 
 # --- maximal vertices -------------------------------------------------------
@@ -371,20 +400,21 @@ def tie_heavy_polytopes():
                 yield build_h_polytope(ReducedDistanceMatrix(entries, h))
 
 
-def test_maximal_vertices_are_the_pareto_filter():
+def test_maximal_vertices_are_the_pareto_filter(vertex_route):
     routes = {"dual": 0, "combinatorial": 0}
     for poly in tie_heavy_polytopes():
         scale = max(1.0, float(np.max(poly.b)))
+        vertex_route("auto")
         full = enumerate_vertices(poly).vertices
         expected = pareto_filter(full, 1e-9 * scale)
         # Every Pareto survivor is maximal in the whole polytope, not just
         # among the vertices.
         assert not any(dominated_by_some_point(poly, v, 1e-9 * scale) for v in expected)
-        methods = ["dual"] + (["combinatorial"] if poly.n <= 6 else [])
-        for method in methods:
-            got = enumerate_vertices(poly, method=method, maximal=True).vertices
-            assert same_point_sets(got, expected, 1e-9 * scale), (poly.n, method)
-            routes[method] += 1
+        for route in ["dual"] + (["combinatorial"] if poly.n <= 6 else []):
+            vertex_route(route)
+            got = enumerate_vertices(poly, maximal=True).vertices
+            assert same_point_sets(got, expected, 1e-9 * scale), (poly.n, route)
+            routes[route] += 1
         if math.comb(poly.m, poly.n) <= 5_000:  # N <= 4, and N = 5 without caps
             oracle = pareto_filter(np.array(brute_force_vertices(poly.M, poly.b)),
                                    1e-9 * scale)
@@ -398,14 +428,16 @@ def test_maximal_single_point_is_the_interval_top():
 
 
 def test_maximal_needs_nonneg_rows():
-    # r_1 + r_2 <= 1 with caps, but nothing bounds the radii below.
+    # r_1 + r_2 <= 1 with caps, but nothing bounds the radii below, so no
+    # budget bounds |r_i| either: both enumerations refuse it.
     poly = HPolytope(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]), np.ones(3),
                      (("pair", 0, 1), ("cap", 0), ("cap", 1)))
-    with pytest.raises(ValueError, match="nonneg"):
-        enumerate_vertices(poly, maximal=True)
+    for maximal in (False, True):
+        with pytest.raises(ValueError, match="nonneg"):
+            enumerate_vertices(poly, maximal=maximal)
 
 
-def test_zero_budget_coordinates_are_pinned():
+def test_zero_budget_coordinates_are_pinned(vertex_route):
     pinned_instances = 0
     for poly in spread_polytopes():
         if not has_zero_budget(poly) or poly.n > 4:
@@ -413,21 +445,23 @@ def test_zero_budget_coordinates_are_pinned():
         pinned_instances += 1
         scale = max(1.0, float(np.max(np.abs(poly.b))))
         expected = np.array(brute_force_vertices(poly.M, poly.b))
-        for method in ("auto", "dual", "combinatorial"):
-            got = enumerate_vertices(poly, method=method).vertices
-            assert same_vertex_sets(got, expected, 1e-7 * scale), (poly.n, method)
+        for route in ("auto", "dual", "combinatorial"):
+            vertex_route(route)
+            got = enumerate_vertices(poly).vertices
+            assert same_vertex_sets(got, expected, 1e-7 * scale), (poly.n, route)
         zero_rows = (poly.b == 0.0) & (plus_counts(poly) > 0)
         pinned = np.any(poly.M[zero_rows] == 1.0, axis=0)
         assert np.all(got[:, pinned] == 0.0)
     assert pinned_instances == 4 * 3 * 2
 
 
-def test_all_coordinates_pinned():
+def test_all_coordinates_pinned(vertex_route):
     # Every pair budget zero: r = 0 is the only point, on every route.
     poly = build_h_polytope(ReducedDistanceMatrix(np.zeros((4, 4)), 0.3))
     for maximal in (False, True):
-        for method in ("auto", "dual", "combinatorial"):
-            verts = enumerate_vertices(poly, method=method, maximal=maximal).vertices
+        for route in ("auto", "dual", "combinatorial"):
+            vertex_route(route)
+            verts = enumerate_vertices(poly, maximal=maximal).vertices
             assert np.array_equal(verts, np.zeros((1, 4)))
 
 
@@ -438,30 +472,46 @@ def fallback_records(caplog):
     return [r for r in caplog.records if "falls back" in r.getMessage()]
 
 
-def test_dual_fallback_is_logged(caplog):
-    # A budget below the interior point's 1e-11 threshold, yet not zero,
-    # so it is not pinned and the dual route meets the degenerate region.
+def test_dual_fallback_is_logged(caplog, monkeypatch, vertex_route):
+    # Budgets of 1e-13 and a region 1e-8 thin stay on the dual route; only
+    # a failed hull computation hands over to the combinatorial scan.
+    # Either way every returned point is feasible and every vertex of the
+    # oracle lies within 1e-7 max(1, ||b||_inf) of one.
     tiny_budget = build_h_polytope(
         ReducedDistanceMatrix(np.array([[0.0, 1e-13], [1e-13, 0.0]]), 0.0)
     )
     thin = build_h_polytope(ReducedDistanceMatrix(
         np.array([[0.0, 1e-8, 1.0], [1e-8, 0.0, 1.0], [1.0, 1.0, 0.0]]), 0.0
     ))
-    for poly, cause in ((tiny_budget, "DegeneratePolytopeError"), (thin, "too thin")):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
-            enumerate_vertices(poly, method="dual")
-        assert len(fallback_records(caplog)) == 1
-        assert "falls back to the combinatorial scan" in caplog.text and cause in caplog.text
-        assert "route=combinatorial" in caplog.records[-1].getMessage()
+    vertex_route("dual")
+
+    def failing_hull(points):
+        raise QhullError("QH6154 Qhull precision error: initial simplex is flat")
+
+    for poly in (tiny_budget, thin):
+        scale = max(1.0, float(np.max(poly.b)))
+        expected = brute_force_vertices(poly.M, poly.b, frame=budget_frame(poly),
+                                        feas_tol=FEASIBILITY_TOL)
+        for hull, route in ((ConvexHull, "dual"), (failing_hull, "combinatorial")):
+            monkeypatch.setattr(polytope, "ConvexHull", hull)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
+                got = enumerate_vertices(poly).vertices
+            assert all(poly.contains(v) for v in got), route
+            assert np.all(cKDTree(got).query(expected, p=np.inf)[0] <= 1e-7 * scale), route
+            assert f"route={route}" in caplog.records[-1].getMessage()
+            assert len(fallback_records(caplog)) == (route == "combinatorial")
+        assert "falls back to the combinatorial scan" in caplog.text
+        assert "QhullError: QH6154" in caplog.text
 
 
-def test_zero_budget_is_pinned_not_a_fallback(caplog):
+def test_zero_budget_is_pinned_not_a_fallback(caplog, vertex_route):
     zero_budget = build_h_polytope(
         ReducedDistanceMatrix(np.array([[0.0, 0.0], [0.0, 0.0]]), 0.0)
     )
+    vertex_route("dual")
     with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
-        verts = enumerate_vertices(zero_budget, method="dual")
+        verts = enumerate_vertices(zero_budget)
     assert np.array_equal(verts.vertices, [[0.0, 0.0]])
     assert fallback_records(caplog) == []
     assert [r.getMessage() for r in caplog.records] == [
@@ -584,25 +634,28 @@ def same_point_sets(a, b, tol):
 
 
 def test_dual_route_matches_oracle_on_built_polytopes():
-    # Called directly, so no fallback can hide a wrong vertex set.  Only
-    # regions thinner than the slack scaling resolves leave the route.
-    stayed = thin = 0
+    # Called directly, so no fallback can hide a wrong vertex set.  Every
+    # polytope with nonzero budgets stays on the route, thin ones too: a
+    # boundary distance far below the pair distances makes every budget
+    # it touches small.
+    checked = thin = 0
     for poly in spread_polytopes():
         if poly.n == 1 or has_zero_budget(poly):
             continue
-        feas_tol = poly.feasibility_tol()
-        try:
-            verts = _dual_transform_vertices(poly, feas_tol)
-        except _DualUntrusted:
-            thin += 1
-            continue
-        stayed += 1
-        scale = max(1.0, float(np.max(np.abs(poly.b))))
-        verts[np.abs(verts) <= feas_tol] = 0.0
-        got = _dedup_lex(verts, DEDUP_TOL * scale)
+        frame = budget_frame(poly)
+        feas_tol = FEASIBILITY_TOL * np.max(np.where(poly.M != 0.0, frame, 0.0), axis=1)
+        verts = _dual_transform_vertices(poly, feas_tol)
+        verts[np.abs(verts) <= FEASIBILITY_TOL * frame] = 0.0
+        got = _dedup_lex(verts, DEDUP_TOL, frame)
         if poly.n <= 4:
-            expected = np.array(brute_force_vertices(poly.M, poly.b))
+            expected = np.array(
+                brute_force_vertices(poly.M, poly.b, frame=frame, feas_tol=FEASIBILITY_TOL)
+            )
         else:  # C(m, n) row subsets are too many to scan in a test
-            expected = _dedup_lex(halfspace_vertices(poly), DEDUP_TOL * scale)
-        assert same_point_sets(got, expected, 1e-7 * scale), (poly.n, poly.m)
-    assert stayed >= 40 and thin >= 10, (stayed, thin)
+            expected = _dedup_lex(halfspace_vertices(poly), DEDUP_TOL, frame)
+        assert same_point_sets(got / frame, expected / frame, 1e-7), (poly.n, poly.m)
+        checked += 1
+        # Thin: a slack at the interior point below 1e-6 max(1, ||b||_inf).
+        slack = poly.b - poly.M @ interior_point(poly)
+        thin += bool(np.min(slack) < 1e-6 * max(1.0, float(np.max(poly.b))))
+    assert (checked, thin) == (7 * 3 * 6, 45)
