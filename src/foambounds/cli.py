@@ -52,7 +52,7 @@ from .meshcheck import (
     plateau_angle_check,
     verify_main_inequality,
 )
-from .polytope import DEDUP_TOL, build_h_polytope, enumerate_vertices
+from .polytope import build_h_polytope, enumerate_vertices
 
 _EVA_FORMULA = "max over admissible radii of sum_i pi*theta_i*exp(-2*h*r_i)*r_i^2"
 
@@ -115,7 +115,7 @@ def cmd_eva(args) -> dict:
     result = maximize_eva(reduced, EvaObjective(h, weights))
     if args.dump_polytope:
         poly = build_h_polytope(reduced)
-        verts = enumerate_vertices(poly, tol=args.tol)
+        verts = enumerate_vertices(poly)
         _emit({"polytope": poly.to_json(), "vertices": verts.to_json()}, args.dump_polytope)
     return {
         **_eva_report(args, h, matrix, result, _EVA_FORMULA),
@@ -306,9 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="instance JSON path")
         p.add_argument("--h", type=float, default=None, help="override the curvature bound")
         if name == "eva":
-            p.add_argument("--tol", type=float, default=DEDUP_TOL,
-                           help="vertex dedup tolerance for --dump-polytope, "
-                                "relative to each radius's budget")
             p.add_argument("--dump-polytope", help="also dump the H-representation and vertices")
         if name == "eva-exact":
             p.add_argument("--max-exact-n", type=int, default=8, help="subset enumeration size cap")

@@ -213,7 +213,8 @@ def maximize_eva(
     attaining: int | None = best
     if reduced.n == 2 and not certified:
         budget = reduced.entries[0, 1]
-        value, r_1, r_2 = _pair_max(*objective.thetas(2), reduced.h, budget, budget, budget)
+        cap = min(budget, reduced.r_max)  # a periodic cap can be the smaller
+        value, r_1, r_2 = _pair_max(*objective.thetas(2), reduced.h, budget, cap, cap)
         if value[0] > best_value:
             best_value, best_radii, attaining = value[0], np.array([r_1[0], r_2[0]]), None
         certified = True
@@ -316,7 +317,7 @@ def _multistart_ascent(
     poly: HPolytope, objective: EvaObjective, vertices: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Deterministic multi-start local ascent inside the polytope."""
-    x0 = interior_point(poly)
+    x0 = interior_point(poly.M, poly.b)
     seeds = [x0]
     for t in (0.5, 0.9):
         for v in vertices:
@@ -375,8 +376,9 @@ def evA_exact_from_matrix(
 
     Bound and prune: every subset S gets a cheap upper bound first.  The
     polytope of S has r_i + r_j <= R_ij and r_j >= 0, so each radius obeys
-    r_i <= u_i(S) = min over members j != i of R_ij; a singleton's
-    budget is min(boundary distance, 1/h).  R is the reduced matrix of
+    r_i <= u_i(S) = min over members j != i of R_ij, and the radius cap
+    r_max = min(1/h, the domain's radius cap) as well; a singleton's
+    budget is min(boundary distance, r_max).  R is the reduced matrix of
     the full set, reduced once: a reduced entry depends only on its own
     pair of points, so it equals the entry of the subset's polytope.
     f(r) = r^2 exp(-2 h r) increases on [0, 1/h], so
@@ -459,16 +461,20 @@ def _subset_upper_bounds(
     budgets = np.min(np.where(members[:, None, :], pair[None], np.inf), axis=2)
     single = np.minimum(matrix.boundary_distances, r_max)
     budgets = np.where(members.sum(axis=1)[:, None] == 1, single, budgets)
+    # A radius cap below 1/h (periodic domains) bounds every radius too.
+    budgets = np.minimum(budgets, r_max)
     # A vertex meets r_i + r_j <= R_ij and r_j >= 0 only to within the
     # enumerator's per-row feasibility tolerance, so r_i can exceed u_i by
     # twice that.  Each row's tolerance is FEASIBILITY_TOL times a budget
     # of the subset polytope, hence at most t = feasibility_tol_for(its
     # largest right-hand side), which is among these values; widening by
-    # 2t keeps the bound sound.
+    # 2t keeps the bound sound.  f increases up to 1/h, not just up to a
+    # smaller radius cap, so the widened radii are clipped at 1/h.
     rhs = np.concatenate([reduced.entries.ravel(), single, [r_max]])
     widen = 2.0 * feasibility_tol_for(np.max(rhs[np.isfinite(rhs)]))
     unbounded = np.any(members & np.isinf(budgets), axis=1)
-    wide = np.where(members & ~unbounded[:, None], np.minimum(budgets + widen, r_max), 0.0)
+    top = math.inf if h == 0.0 else 1.0 / h
+    wide = np.where(members & ~unbounded[:, None], np.minimum(budgets + widen, top), 0.0)
     terms = objective.terms(wide)
     bounds = terms.sum(axis=1)
 

@@ -98,10 +98,16 @@ class Domain:
     point by broadcasting (a Python scalar for one point).  Subclasses
     implement the five supported variants: ball, axis-aligned box,
     half-space intersection, periodic box, and all of space.  The defaults
-    are all of space's: no boundary (distance +inf), Euclidean distance.
+    are all of space's: no boundary (distance +inf), Euclidean distance,
+    no radius cap.
     """
 
     kind = "abstract"
+
+    @property
+    def radius_cap(self) -> float:
+        """Largest ball radius the domain admits around any point (+inf: none)."""
+        return math.inf
 
     @property
     def scale(self) -> float:
@@ -270,7 +276,9 @@ class PeriodicBox(Domain):
     """Flat torus: a box with opposite faces identified.  No boundary.
 
     Coordinates may be any finite reals; distances use the minimum image
-    convention, so only pairwise distances constrain radii here.
+    convention.  A ball wider than half the shortest period overlaps its
+    own image, so radii are capped there (radius_cap) instead of at a
+    boundary.
     """
 
     lengths: np.ndarray
@@ -285,6 +293,10 @@ class PeriodicBox(Domain):
     @property
     def scale(self) -> float:
         return float(np.max(self.lengths))
+
+    @property
+    def radius_cap(self) -> float:
+        return float(np.min(self.lengths)) / 2.0
 
     def _delta(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Minimum-image displacement."""
@@ -384,12 +396,17 @@ class DistanceMatrix:
 
     The leading N x N block holds pairwise point distances; the last
     row/column holds each point's distance to the domain boundary (+inf
-    for boundaryless domains) and entry (N+1, N+1) is zero.
+    for boundaryless domains) and entry (N+1, N+1) is zero.  radius_cap
+    bounds every radius (the domain's radius_cap; +inf for none).
     """
 
     entries: np.ndarray
+    radius_cap: float = math.inf
 
     def __post_init__(self):
+        self.radius_cap = float(self.radius_cap)
+        if not self.radius_cap > 0:
+            raise ValueError(f"radius cap must be positive, got {self.radius_cap}")
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 2:
             raise ValueError("distance matrix must be square with N >= 1 points")
@@ -416,7 +433,7 @@ class DistanceMatrix:
     def submatrix(self, indices) -> "DistanceMatrix":
         """Matrix for a subset of points, keeping the boundary row/column."""
         idx = list(indices) + [self.n]
-        return DistanceMatrix(self.entries[np.ix_(idx, idx)])
+        return DistanceMatrix(self.entries[np.ix_(idx, idx)], self.radius_cap)
 
     def to_json(self) -> list:
         return self.entries.tolist()
@@ -427,13 +444,15 @@ class ReducedDistanceMatrix:
     """N x N matrix of per-pair radius budgets.
 
     Off-diagonal entry (i, j) is the smallest of: the distance between
-    points i and j, either point's boundary distance, and the radius cap
-    r_max = 1/h.  For a single point the lone entry is
-    min(boundary distance, r_max).  All entries must be finite.
+    points i and j, either point's boundary distance, and 1/h.  Every
+    radius is capped at r_max = min(1/h, radius_cap).  For a single point
+    the lone entry is min(boundary distance, r_max).  All entries must be
+    finite.
     """
 
     entries: np.ndarray
     h: float
+    radius_cap: float = math.inf
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -450,6 +469,9 @@ class ReducedDistanceMatrix:
         self.h = float(self.h)
         if not self.h >= 0:
             raise ValueError("curvature bound h must be >= 0")
+        self.radius_cap = float(self.radius_cap)
+        if not self.radius_cap > 0:
+            raise ValueError(f"radius cap must be positive, got {self.radius_cap}")
         self.entries = e
 
     @property
@@ -458,12 +480,9 @@ class ReducedDistanceMatrix:
 
     @property
     def r_max(self) -> float:
-        """Radius cap 1/h; +inf when h = 0 (a true infinity, not a sentinel)."""
-        return math.inf if self.h == 0.0 else 1.0 / self.h
-
-    def submatrix(self, indices) -> "ReducedDistanceMatrix":
-        idx = list(indices)
-        return ReducedDistanceMatrix(self.entries[np.ix_(idx, idx)], self.h)
+        """Radius cap min(1/h, radius_cap); +inf when h = 0 and the domain
+        sets no cap (a true infinity, not a sentinel)."""
+        return min(math.inf if self.h == 0.0 else 1.0 / self.h, self.radius_cap)
 
     def to_json(self) -> list:
         return self.entries.tolist()
@@ -480,7 +499,7 @@ def build_distance_matrix(point_set: PointSet, domain: Domain) -> DistanceMatrix
     entries = np.zeros((n + 1, n + 1))
     entries[:n, :n] = domain.distance(pts[:, None], pts[None])
     entries[:n, n] = entries[n, :n] = domain.boundary_distance(pts)
-    return DistanceMatrix(entries)
+    return DistanceMatrix(entries, domain.radius_cap)
 
 
 def reduce_distance_matrix(matrix: DistanceMatrix, h: float) -> ReducedDistanceMatrix:
@@ -488,12 +507,17 @@ def reduce_distance_matrix(matrix: DistanceMatrix, h: float) -> ReducedDistanceM
 
     Args:
         matrix: full distance matrix including the boundary row/column.
-        h: curvature bound, >= 0.  h = 0 means no radius cap.
+        h: curvature bound, >= 0.  h = 0 means no curvature cap 1/h.
+
+    Pair entries are clipped at 1/h only: clipping them at the matrix's
+    radius_cap too would be sound but weaker, and the cap rows of the
+    radii polytope (ReducedDistanceMatrix.r_max) already enforce it.  A
+    single point's entry is min(boundary distance, 1/h, radius_cap).
 
     Raises:
         UnboundedInstanceError: if some budget comes out infinite (no
-            boundary anywhere and h = 0 for a single point), which means
-            the extrinsic vertex area is +inf.
+            boundary or radius cap anywhere and h = 0 for a single
+            point), which means the extrinsic vertex area is +inf.
     """
     h = float(h)
     if not h >= 0:
@@ -502,12 +526,12 @@ def reduce_distance_matrix(matrix: DistanceMatrix, h: float) -> ReducedDistanceM
     n = matrix.n
     bd = matrix.boundary_distances
     if n == 1:
-        e = min(bd[0], r_max)
+        e = min(bd[0], r_max, matrix.radius_cap)
         if not math.isfinite(e):
             raise UnboundedInstanceError(
                 "single point with no boundary and h = 0: eva is +inf"
             )
-        return ReducedDistanceMatrix(np.array([[e]]), h)
+        return ReducedDistanceMatrix(np.array([[e]]), h, matrix.radius_cap)
     pair = matrix.entries[:n, :n]
     caps = np.minimum(bd[:, None], bd[None, :])
     reduced = np.minimum(np.minimum(pair, caps), r_max)
@@ -515,7 +539,7 @@ def reduce_distance_matrix(matrix: DistanceMatrix, h: float) -> ReducedDistanceM
     off = ~np.eye(n, dtype=bool)
     if not np.all(np.isfinite(reduced[off])):
         raise UnboundedInstanceError("reduced matrix has infinite entries")
-    return ReducedDistanceMatrix(reduced, h)
+    return ReducedDistanceMatrix(reduced, h, matrix.radius_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,11 @@ the same budget frame.
 
 Zero budgets.  A +1 row with b = 0 pins every coordinate in it to 0 at
 every vertex, and such a region has no interior for the dual route.
-enumerate_vertices enumerates the other coordinates instead (a pair row
-with one pinned end becomes a cap row of the other end) and puts the
-zeros back.
+enumerate_vertices drops the pinned columns from (M, b) and the rows
+left with no entry (a pair row with one pinned end becomes a cap row of
+the other end), enumerates the rest and puts the zeros back.  The
+enumerators read only the arrays (M, b), so the pinned system and D are
+plain array slices on the same path as P, and no row tags are rewritten.
 """
 
 from __future__ import annotations
@@ -164,7 +166,6 @@ class VertexSet:
     """Extreme points of an HPolytope, lexicographically sorted."""
 
     vertices: np.ndarray
-    dedup_tol: float
 
     def __post_init__(self):
         self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
@@ -173,7 +174,7 @@ class VertexSet:
         return len(self.vertices)
 
     def to_json(self) -> dict:
-        return {"vertices": self.vertices.tolist(), "dedup_tol": self.dedup_tol}
+        return {"vertices": self.vertices.tolist(), "dedup_tol": DEDUP_TOL}
 
 
 def build_h_polytope(reduced: ReducedDistanceMatrix) -> HPolytope:
@@ -205,19 +206,19 @@ def build_h_polytope(reduced: ReducedDistanceMatrix) -> HPolytope:
     return HPolytope(np.vstack(rows), np.concatenate(rhs), tuple(tags))
 
 
-def interior_point(poly: HPolytope) -> np.ndarray:
-    """A strictly feasible point, in closed form.
+def interior_point(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A strictly feasible point of M r <= b, in closed form.
 
     x0_i = min over rows k with M[k, i] = +1 of b_k / (1 + p_k), where p_k
-    is the number of +1 entries in row k.  Every coordinate has such a row
-    (HPolytope checks it) and every row is a pair, cap or nonneg row, so a
-    row with p_k > 0 sums at most p_k shares of b_k / (1 + p_k) and keeps
-    slack >= b_k / (1 + p_k), while -r_i <= 0 keeps slack x0_i.  So x0 > 0
-    however small the budgets, unless one is 0: then the region is
-    lower-dimensional and DegeneratePolytopeError is raised.
+    is the number of +1 entries in row k.  Every coordinate needs such a
+    row (HPolytope checks it) and every row must be a pair, cap or nonneg
+    row, so a row with p_k > 0 sums at most p_k shares of b_k / (1 + p_k)
+    and keeps slack >= b_k / (1 + p_k), while -r_i <= 0 keeps slack x0_i.
+    So x0 > 0 however small the budgets, unless one is 0: then the region
+    is lower-dimensional and DegeneratePolytopeError is raised.
     """
-    plus = poly.M == 1.0
-    share = poly.b / (1.0 + np.count_nonzero(plus, axis=1))
+    plus = M == 1.0
+    share = b / (1.0 + np.count_nonzero(plus, axis=1))
     x0 = np.min(np.where(plus, share[:, None], np.inf), axis=0)
     if not float(np.min(x0)) > 0.0:
         raise DegeneratePolytopeError(
@@ -226,16 +227,12 @@ def interior_point(poly: HPolytope) -> np.ndarray:
     return x0
 
 
-def enumerate_vertices(
-    poly: HPolytope, tol: float = DEDUP_TOL, maximal: bool = False
-) -> VertexSet:
+def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> VertexSet:
     """All extreme points of the polytope, deduplicated and lex-sorted.
 
     Args:
         poly: bounded, feasible inequality system with a nonneg row on
             every coordinate (ValueError otherwise).
-        tol: dedup tolerance, relative to each radius's budget u_i (see
-            the module docstring).
         maximal: return only the maximal vertices, those no other point
             of the polytope dominates coordinate-wise: the vertices of
             the downward closure D = {r_i + r_j <= d_ij, r_i <= u_i}
@@ -244,104 +241,65 @@ def enumerate_vertices(
             objective that strictly increases in every radius attains
             its maximum over the polytope at one of them.
 
-    The combinatorial scan runs while C(m, n) stays small, the dual
-    transform beyond; if its hull computation fails, the scan takes over
-    and the fallback is logged at debug level with its cause.  Every
-    tolerance is measured in the budget frame.  Coordinates pinned to 0
-    by a zero budget are set aside before the route is chosen (see the
-    module docstring); if every coordinate is pinned, the origin is the
-    only vertex.  Each call logs its route, maximal flag, pinned count,
-    the n and m of the system enumerated, and the vertex count at debug
-    level on foambounds.polytope.
+    One path over the arrays (M, b): the columns of coordinates pinned
+    to 0 by a zero budget are dropped, and so are the rows left with no
+    entry (see the module docstring); for maximal, D's rows replace the
+    rest.  The
+    combinatorial scan runs while n <= 1 or C(m, n) stays small, the
+    dual transform beyond; if its hull computation fails, the scan takes
+    over and the fallback is logged at debug level with its cause.  If
+    every coordinate is pinned, the scan's one empty subset gives the
+    origin.  The pinned zeros are put back, and every tolerance is
+    measured in the budget frame.  Each call logs its route, maximal
+    flag, pinned count, the n and m of the system enumerated, and the
+    vertex count at debug level on foambounds.polytope.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"dedup tolerance must be >= 0, got {tol!r}")
     if not np.all(np.any(poly.M == -1.0, axis=0)):
         raise ValueError("vertex enumeration needs a nonneg row on every coordinate")
 
     # With r >= 0 on every coordinate, a +1 row with b = 0 pins each of
     # its coordinates: exactly those whose smallest +1 budget is 0.
-    budgets = _smallest_budgets(poly)
-    pinned = budgets == 0.0
-    n_pinned = int(np.count_nonzero(pinned))
-    system = _without_pinned(poly, pinned) if n_pinned else poly
-
-    if system is None:
-        route, free = "pinned", np.zeros((1, 0))
-    elif system.n == 1:
-        route = "interval"
-        top = float(budgets[~pinned][0])
-        free = np.array([[top]]) if maximal else np.array([[0.0], [top]])
+    u = _smallest_budgets(poly)
+    pinned = u == 0.0
+    M = poly.M[:, ~pinned]
+    rows = np.any(M != 0.0, axis=1)
+    M, b, u_free = M[rows], poly.b[rows], u[~pinned]
+    if maximal:
+        pairs = np.count_nonzero(M == 1.0, axis=1) == 2
+        M = np.vstack([M[pairs], np.eye(len(u_free))])
+        b = np.concatenate([b[pairs], u_free])
+    m, n = M.shape
+    # Row k's tolerance is measured against the largest budget of its
+    # coordinates, so it never exceeds feasibility_tol_for(max b).
+    feas_tol = FEASIBILITY_TOL * np.max(np.where(M != 0.0, u_free, 0.0), axis=1, initial=0.0)
+    route = "combinatorial"
+    # Qhull needs two dimensions or more; the scan also covers n = 0.
+    if n <= 1 or math.comb(m, n) <= _AUTO_COMBINATORIAL_LIMIT:
+        free = _combinatorial_vertices(M, b, feas_tol)
     else:
-        if maximal:
-            system = _downward_closure(system, budgets[~pinned])
-        # Row k's tolerance is measured against the largest budget of its
-        # coordinates, so it never exceeds feasibility_tol_for(max b).
-        row_budget = np.where(system.M != 0.0, budgets[~pinned], 0.0)
-        feas_tol = FEASIBILITY_TOL * np.max(row_budget, axis=1)
-        if math.comb(system.m, system.n) <= _AUTO_COMBINATORIAL_LIMIT:
-            route = "combinatorial"
-            free = _combinatorial_vertices(system, feas_tol)
-        else:
+        try:
+            free = _dual_transform_vertices(M, b, feas_tol)
             route = "dual"
-            try:
-                free = _dual_transform_vertices(system, feas_tol)
-            except QhullError as exc:
-                cause = (str(exc).strip().splitlines() or [""])[0]
-                _log.debug(
-                    "dual route falls back to the combinatorial scan (n=%d, m=%d): %s: %s",
-                    system.n, system.m, type(exc).__name__, cause,
-                )
-                route = "combinatorial"
-                free = _combinatorial_vertices(system, feas_tol)
-        if len(free) == 0:
-            raise NumericalError("vertex enumeration produced no feasible points")
-    verts = free
-    if n_pinned:
-        verts = np.zeros((len(free), poly.n))
-        verts[:, ~pinned] = free
+        except QhullError as exc:
+            cause = (str(exc).strip().splitlines() or [""])[0]
+            _log.debug(
+                "dual route falls back to the combinatorial scan (n=%d, m=%d): %s: %s",
+                n, m, type(exc).__name__, cause,
+            )
+            free = _combinatorial_vertices(M, b, feas_tol)
+    if len(free) == 0:
+        raise NumericalError("vertex enumeration produced no feasible points")
+    verts = np.zeros((len(free), poly.n))
+    verts[:, ~pinned] = free
     # Pinned coordinates are exact zeros; a unit frame leaves them so.
-    frame = np.where(pinned, 1.0, budgets)
+    frame = np.where(pinned, 1.0, u)
     verts[np.abs(verts) <= FEASIBILITY_TOL * frame] = 0.0
-    out = VertexSet(_dedup_lex(verts, tol, frame), tol)
+    out = VertexSet(_dedup_lex(verts, DEDUP_TOL, frame))
     _log.debug(
         "enumerate_vertices: route=%s maximal=%s pinned=%d n=%d m=%d vertices=%d",
-        route, maximal, n_pinned,
-        0 if system is None else system.n, 0 if system is None else system.m, len(out),
+        route, maximal, np.count_nonzero(pinned), n, m, len(out),
     )
     return out
-
-
-def _without_pinned(poly: HPolytope, pinned: np.ndarray) -> HPolytope | None:
-    """The system over the unpinned coordinates, or None if none is left.
-
-    Rows lose their pinned entries: a pair row with one pinned end
-    becomes a cap row of the other end, and rows left with no entry (the
-    pinned coordinates' own rows, pair rows with both ends pinned) go.
-    """
-    free = np.flatnonzero(~pinned)
-    if free.size == 0:
-        return None
-    sub = poly.M[:, free]
-    keep = np.any(sub != 0.0, axis=1)
-    tags = []
-    for row in np.flatnonzero(keep).tolist():
-        coords = np.flatnonzero(sub[row]).tolist()
-        kind = poly.row_tags[row][0]
-        if kind == "pair" and len(coords) == 1:
-            kind = "cap"
-        tags.append((kind, *coords))
-    return _checked_already(sub[keep], poly.b[keep], tuple(tags))
-
-
-def _downward_closure(poly: HPolytope, u: np.ndarray) -> HPolytope:
-    """D = {pair rows of poly, r_i <= u_i}: see the module docstring."""
-    pairs = np.flatnonzero(np.count_nonzero(poly.M == 1.0, axis=1) == 2)
-    tags = tuple(poly.row_tags[k] for k in pairs.tolist())
-    tags += tuple(("cap", i) for i in range(poly.n))
-    return _checked_already(
-        np.vstack([poly.M[pairs], np.eye(poly.n)]), np.concatenate([poly.b[pairs], u]), tags
-    )
 
 
 def _smallest_budgets(poly: HPolytope) -> np.ndarray:
@@ -349,26 +307,15 @@ def _smallest_budgets(poly: HPolytope) -> np.ndarray:
     return np.min(np.where(poly.M == 1.0, poly.b[:, None], np.inf), axis=0)
 
 
-def _checked_already(M: np.ndarray, b: np.ndarray, row_tags: tuple) -> HPolytope:
-    """An HPolytope built from rows of one that passed HPolytope's checks.
-
-    Dropping pinned coordinates and taking the downward closure keep
-    every row a valid pair, cap or nonneg row with b >= 0 and every
-    coordinate bounded above, so the checks would only cost time.
-    """
-    poly = object.__new__(HPolytope)
-    poly.M, poly.b, poly.row_tags = M, b, row_tags
-    return poly
-
-
-def _combinatorial_vertices(poly: HPolytope, feas_tol: np.ndarray) -> np.ndarray:
-    """Reference enumerator: solve every size-n active row subset.
+def _combinatorial_vertices(M: np.ndarray, b: np.ndarray, feas_tol: np.ndarray) -> np.ndarray:
+    """Reference enumerator: solve every size-n active row subset of M r <= b.
 
     M has integer entries, so a subset is nonsingular exactly when its
     determinant is at least 1 in magnitude; the 0.5 threshold below is an
-    exact rank test, not a tolerance.
+    exact rank test, not a tolerance.  feas_tol holds one tolerance per
+    row.  With n = 0 the one empty subset gives the empty point.
     """
-    m, n = poly.m, poly.n
+    m, n = M.shape
     total = math.comb(m, n)
     if total > _COMBINATORIAL_HARD_LIMIT:
         raise NumericalError(
@@ -381,14 +328,14 @@ def _combinatorial_vertices(poly: HPolytope, feas_tol: np.ndarray) -> np.ndarray
         chunk = list(itertools.islice(combo_iter, _CHUNK))
         if not chunk:
             break
-        idx = np.array(chunk)
-        sub_m = poly.M[idx]
-        sub_b = poly.b[idx]
+        idx = np.array(chunk, dtype=np.intp)
+        sub_m = M[idx]
+        sub_b = b[idx]
         keep = np.abs(np.linalg.det(sub_m)) > 0.5
         if not np.any(keep):
             continue
         sols = np.linalg.solve(sub_m[keep], sub_b[keep][..., None])[..., 0]
-        feasible = np.all(sols @ poly.M.T <= poly.b + feas_tol, axis=1)
+        feasible = np.all(sols @ M.T <= b + feas_tol, axis=1)
         if np.any(feasible):
             found.append(sols[feasible])
     if not found:
@@ -396,12 +343,12 @@ def _combinatorial_vertices(poly: HPolytope, feas_tol: np.ndarray) -> np.ndarray
     return np.vstack(found)
 
 
-def _dual_transform_vertices(poly: HPolytope, feas_tol: np.ndarray) -> np.ndarray:
+def _dual_transform_vertices(M: np.ndarray, b: np.ndarray, feas_tol: np.ndarray) -> np.ndarray:
     """Polar-dual enumerator, for a polytope or a pointed region like D.
 
-    Shift the region by an interior point x0 so 0 is strictly inside,
-    scale each row by its slack to get {y : A y <= 1}, and take the
-    convex hull of the rows of A and the origin.  Every hull facet
+    Shift the region M r <= b by an interior point x0 so 0 is strictly
+    inside, scale each row by its slack to get {y : A y <= 1}, and take
+    the convex hull of the rows of A and the origin.  Every hull facet
     {z : u.z <= -d} with d > 0 maps to the vertex x0 + u / (-d); rows of
     redundant constraints land strictly inside the hull and drop out
     automatically.  Facets through the origin belong to unbounded faces
@@ -413,14 +360,15 @@ def _dual_transform_vertices(poly: HPolytope, feas_tol: np.ndarray) -> np.ndarra
     Qhull then finishes in about two thirds of the time it takes with
     the origin last.  feas_tol holds one tolerance per row.
     """
-    x0 = interior_point(poly)
-    slack = poly.b - poly.M @ x0
-    dual_points = np.vstack([np.zeros(poly.n), poly.M / slack[:, None]])
+    n = M.shape[1]
+    x0 = interior_point(M, b)
+    slack = b - M @ x0
+    dual_points = np.vstack([np.zeros(n), M / slack[:, None]])
     hull = ConvexHull(dual_points)
-    cut = -0.5 / (math.sqrt(poly.n) * float(np.max(poly.b)))
+    cut = -0.5 / (math.sqrt(n) * float(np.max(b)))
     facets = hull.equations[hull.equations[:, -1] < cut]
     verts = x0[None, :] + facets[:, :-1] / (-facets[:, -1:])
-    feasible = np.all(verts @ poly.M.T <= poly.b + feas_tol, axis=1)
+    feasible = np.all(verts @ M.T <= b + feas_tol, axis=1)
     return verts[feasible]
 
 

@@ -97,6 +97,53 @@ def test_eva_full_set(instance_path, tmp_path):
     assert len(poly["vertices"]["vertices"]) == 6
 
 
+README_MATRIX = [[0, 1, 2, 4], [1, 0, 3, 4], [2, 3, 0, 4], [4, 4, 4, 0]]
+
+
+def test_eva_raw_matrix_with_classes(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"distance_matrix": README_MATRIX, "h": 0,
+                                "classes": ["vertex", "edge", "face"]}))
+    out = tmp_path / "report.json"
+    assert run(["eva", "--input", str(path), "--output", str(out)]) == 0
+    report = read_report(out)
+    # Radii [0, 1, 2] on densities (theta_v, 1.5, 1): 1.5 pi + 4 pi.
+    assert report["radii"] == [0.0, 1.0, 2.0]
+    assert report["eva"] == pytest.approx(5.5 * math.pi, rel=1e-12)
+    path.write_text(json.dumps({"distance_matrix": README_MATRIX, "classes": ["edge", "face"]}))
+    assert run(["eva", "--input", str(path)]) == 2
+    assert "need one class per distance-matrix point" in capsys.readouterr().err
+
+
+def periodic_instance(tmp_path, points, h):
+    path = tmp_path / f"periodic{len(points)}_{h}.json"
+    path.write_text(json.dumps({
+        "points": points, "domain": {"type": "periodic", "lengths": [1, 1, 1]}, "h": h,
+    }))
+    return str(path)
+
+
+def test_periodic_radii_capped_at_half_the_period(tmp_path):
+    # Two Kelvin foam vertices and one alone, in the unit periodic box.
+    # Without the cap the lone vertex got r = 1/h = 3.33 (eva 8.62) and the
+    # pair [0, 0.866] (eva 4.30), above the foam's area per cube, 3.343;
+    # at h = 0 the lone vertex was unbounded (exit 3).
+    pair = [[0.0, 0.25, 0.5], [0.5, 0.75, 0.0]]
+    cases = (
+        ("eva", pair, 0.0, "eva", 2.2009038762142445, [0.3660254037844386, 0.5]),
+        ("eva-exact", pair, 0.0, "evA", 2.2009038762142445, [0.3660254037844386, 0.5]),
+        ("eva", pair[:1], 0.3, "eva", 1.0615739358400127, [0.5]),
+        ("eva", pair[:1], 0.0, "eva", THETA_V_PI / 4.0, [0.5]),
+    )
+    for command, points, h, key, value, radii in cases:
+        out = tmp_path / "report.json"
+        assert run([command, "--input", periodic_instance(tmp_path, points, h),
+                    "--output", str(out)]) == 0
+        report = read_report(out)
+        assert report[key] == pytest.approx(value, rel=1e-12), (command, points, h)
+        assert report["radii"] == pytest.approx(radii, rel=1e-15)
+
+
 def test_eva_greedy(instance_path, tmp_path):
     out = tmp_path / "report.json"
     assert run(["eva-greedy", "--input", instance_path, "--output", str(out)]) == 0

@@ -15,8 +15,10 @@ from foambounds import (
     AllSpace,
     Ball,
     Box,
+    DensityClass,
     DistanceMatrix,
     EvaObjective,
+    PeriodicBox,
     PointSet,
     ReducedDistanceMatrix,
     SubsetSizeError,
@@ -207,6 +209,22 @@ def test_uncertified_instance_uses_ascent_and_stays_feasible():
     assert res.value >= vertex_best - 1e-12 * vertex_best
 
 
+def test_ascent_beats_every_vertex():
+    # Outside the convex regime (h R up to 0.94) with unequal weights the
+    # maximum lies inside a face: the local ascent replaces the vertex.
+    h = 3.0
+    reduced = ReducedDistanceMatrix(
+        np.array([[0.0, 0.914, 0.666], [0.914, 0.0, 0.941], [0.666, 0.941, 0.0]]) / h, h
+    )
+    objective = EvaObjective(h, np.array([THETA_VERTEX, 1.0, 1.0]))
+    res = maximize_eva(reduced, objective)
+    poly = build_h_polytope(reduced)
+    vertex_best = float(np.max(objective.values(enumerate_vertices(poly).vertices)))
+    assert res.attaining_vertex is None and not res.convexity_certified
+    assert res.value > vertex_best * (1.0 + 1e-3)  # 0.093335 against 0.092842
+    assert poly.contains(res.radii, tol=0.0)
+
+
 def test_degenerate_polytope_falls_back_to_vertex_scan():
     # d_12 = 0 pins two radii at zero, so the region is a segment with no
     # interior, and entries of 3 keep the instance outside the certified
@@ -353,6 +371,53 @@ def test_radii_capped_at_r_max_when_h_positive():
         reduced = reduce_distance_matrix(build_distance_matrix(points, domain), h)
         res = maximize_eva(reduced)
         assert np.all(res.radii <= 1.0 / h + 1e-9)
+
+
+# Area of the Kelvin foam per unit cube: two cells of volume 1/2 with
+# S / V^(2/3) = 5.306 (Weaire & Phelan 1994).  Every eva of its vertices is
+# a lower bound for it.
+KELVIN_AREA_PER_CUBE = 5.306 * 0.5 ** (2.0 / 3.0)
+
+
+def kelvin_vertices() -> np.ndarray:
+    """The 12 Kelvin foam vertices in the unit periodic box: the
+    permutations of (0, +-1, +-2) / 4 mod 1."""
+    points = {
+        tuple(np.mod(np.array(p) / 4.0, 1.0))
+        for signs in itertools.product((1, -1), repeat=2)
+        for p in itertools.permutations((0, signs[0], 2 * signs[1]))
+    }
+    return np.array(sorted(points))
+
+
+def test_periodic_radii_stay_below_half_the_period():
+    points = kelvin_vertices()
+    assert len(points) == 12
+    matrix = build_distance_matrix(PointSet(points), PeriodicBox((1.0, 1.0, 1.0)))
+    # Radii meet the cap rows as every other row, to the enumerator's
+    # feasibility tolerance.
+    cap = 0.5 * (1.0 + 1e-9)
+    for h, largest, expect in ((0.0, 4, 2.304), (0.3, 4, 1.773), (3.0, 3, 0.176)):
+        best = 0.0
+        for size in range(1, largest + 1):
+            for subset in itertools.combinations(range(12), size):
+                res = maximize_eva(reduce_distance_matrix(matrix.submatrix(subset), h))
+                assert np.all(res.radii <= cap), (h, subset, res.radii)
+                best = max(best, res.value)
+        assert best == pytest.approx(expect, abs=1e-3)
+        assert best < KELVIN_AREA_PER_CUBE
+    full = maximize_eva(reduce_distance_matrix(matrix, 0.0))
+    assert full.convexity_certified and np.all(full.radii <= cap)
+    assert full.value == pytest.approx(2.518, abs=1e-3)
+    assert full.value < KELVIN_AREA_PER_CUBE
+    # Two points outside the convex regime (h R = 0.69) are solved by the
+    # exact pair solve, which must keep the cap as well: uncapped, it
+    # returned radii [0.866, 0].
+    pair = PointSet(np.array([[0.0, 0.25, 0.5], [0.5, 0.75, 0.0]]),
+                    [DensityClass.VERTEX, DensityClass.FACE])
+    matrix = build_distance_matrix(pair, PeriodicBox((1.0, 1.0, 1.0)))
+    res = maximize_eva(reduce_distance_matrix(matrix, 0.8), EvaObjective(0.8, pair.thetas))
+    assert res.radii == pytest.approx([0.5, 0.5 * math.sqrt(3.0) - 0.5], rel=1e-15)
 
 
 def test_eva_scale_covariance():

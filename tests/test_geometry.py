@@ -147,6 +147,34 @@ def test_reduce_periodic_uses_pairwise_only():
     assert reduced.entries[0, 1] == pytest.approx(0.2, abs=1e-15)
 
 
+def test_periodic_radius_cap_reaches_every_budget():
+    # A ball wider than half the shortest period overlaps its own image.
+    box = PeriodicBox((1.0, 2.0, 3.0))
+    assert box.radius_cap == 0.5
+    assert all(d.radius_cap == math.inf for d in (Ball((0, 0, 0), 1.0), AllSpace()))
+    points = PointSet(np.array([[0.0, 0.25, 0.5], [0.5, 0.75, 0.0], [0.1, 0.0, 0.0]]))
+    matrix = build_distance_matrix(points, box)
+    assert matrix.radius_cap == 0.5
+    assert matrix.submatrix([0, 2]).radius_cap == 0.5
+    for h, r_max in ((0.0, 0.5), (0.3, 0.5), (3.0, 1.0 / 3.0)):
+        reduced = reduce_distance_matrix(matrix, h)
+        assert reduced.radius_cap == 0.5 and reduced.r_max == r_max
+        # Pair entries are clipped at 1/h only; the cap rows hold the cap.
+        assert reduced.entries[0, 1] == min(matrix.entries[0, 1], 1.0 / h if h else math.inf)
+        single = reduce_distance_matrix(matrix.submatrix([0]), h)
+        assert single.entries[0, 0] == r_max
+    # A raw matrix has no domain, hence no cap.
+    assert DistanceMatrix(matrix.entries).radius_cap == math.inf
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan])
+def test_radius_cap_must_be_positive(cap):
+    with pytest.raises(ValueError, match="radius cap"):
+        DistanceMatrix(WORKED_MATRIX.copy(), cap)
+    with pytest.raises(ValueError, match="radius cap"):
+        ReducedDistanceMatrix(WORKED_REDUCED.copy(), 0.0, cap)
+
+
 def test_reduce_monotone_in_h(worked_matrix):
     rng = np.random.default_rng(11)
     hs = np.sort(rng.random(5))

@@ -2,11 +2,12 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from foambounds.cli import main
+from foambounds.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -44,3 +45,15 @@ def test_cli_runs_on_readme_instances(command, tmp_path, capsys):
         assert set(report) == REPORT_KEYS[command]
         assert report["command"] == command
         assert report["n_points"] == 3
+
+
+def test_cli_examples_parse():
+    # Every documented command and flag exists, and no removed flag lingers.
+    (block,) = _blocks("sh", "CLI")
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 10
+    for argv in commands:
+        assert argv[0] == "foambounds"
+        build_parser().parse_args(argv[1:])
