@@ -378,14 +378,6 @@ class PointSet:
         """Per-point density weights."""
         return np.array([c.theta for c in self.classes])
 
-    def subset(self, indices) -> "PointSet":
-        idx = list(indices)
-        return PointSet(
-            self.points[idx],
-            [self.classes[i] for i in idx],
-            None if self.labels is None else [self.labels[i] for i in idx],
-        )
-
     def scaled(self, factor: float) -> "PointSet":
         return PointSet(self.points * factor, list(self.classes), self.labels)
 
@@ -435,9 +427,6 @@ class DistanceMatrix:
         idx = list(indices) + [self.n]
         return DistanceMatrix(self.entries[np.ix_(idx, idx)], self.radius_cap)
 
-    def to_json(self) -> list:
-        return self.entries.tolist()
-
 
 @dataclass(eq=False)
 class ReducedDistanceMatrix:
@@ -483,9 +472,6 @@ class ReducedDistanceMatrix:
         """Radius cap min(1/h, radius_cap); +inf when h = 0 and the domain
         sets no cap (a true infinity, not a sentinel)."""
         return min(math.inf if self.h == 0.0 else 1.0 / self.h, self.radius_cap)
-
-    def to_json(self) -> list:
-        return self.entries.tolist()
 
 
 def build_distance_matrix(point_set: PointSet, domain: Domain) -> DistanceMatrix:
@@ -536,9 +522,6 @@ def reduce_distance_matrix(matrix: DistanceMatrix, h: float) -> ReducedDistanceM
     caps = np.minimum(bd[:, None], bd[None, :])
     reduced = np.minimum(np.minimum(pair, caps), r_max)
     np.fill_diagonal(reduced, 0.0)
-    off = ~np.eye(n, dtype=bool)
-    if not np.all(np.isfinite(reduced[off])):
-        raise UnboundedInstanceError("reduced matrix has infinite entries")
     return ReducedDistanceMatrix(reduced, h, matrix.radius_cap)
 
 
@@ -588,17 +571,15 @@ def domain_from_json(obj: dict) -> Domain:
 
 
 def load_instance(source) -> Instance:
-    """Read an instance from a JSON file path, JSON text, or parsed dict.
+    """Read an instance from a JSON file path or an already parsed dict.
 
     Schema: {"points": [[x,y,z], ...], "classes": ["vertex", ...]
     (optional), "labels": [...] (optional), "domain": {"type": ...},
     "h": number (optional, default 0)}.
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
+    if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as f:
             obj = json.load(f)
-    elif isinstance(source, str):
-        obj = json.loads(source)
     else:
         obj = source
     if "points" not in obj or "domain" not in obj:

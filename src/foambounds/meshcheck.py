@@ -128,15 +128,6 @@ class FoamMesh:
     def total_area(self) -> float:
         return pairwise_sum(_triangle_areas(self.vertices[self.triangles]))
 
-    def to_json(self) -> dict:
-        obj = {
-            "vertices": self.vertices.tolist(),
-            "triangles": self.triangles.tolist(),
-        }
-        if self.patches is not None:
-            obj["patches"] = self.patches.tolist()
-        return obj
-
 
 @dataclass(eq=False)
 class DiscProbe:
@@ -514,28 +505,18 @@ def plateau_angle_check(mesh: FoamMesh, angle_tol_degrees: float = 1.0) -> Angle
 
     warnings: list[str] = []
     edge_devs: list[float] = []
-    checked_edges = 0
     for (u, v) in triple_edges:
         axis = mesh.vertices[v] - mesh.vertices[u]
         axis = axis / np.linalg.norm(axis)
+        # No wing is parallel to the edge: its triangle would be thinner
+        # than the area floor at which FoamMesh rejects a triangle.
         wings = []
-        degenerate = False
         for t_idx in edge_tris[(u, v)]:
             tri = mesh.triangles[t_idx]
             opposite = [k for k in tri if k != u and k != v][0]
             w = mesh.vertices[opposite] - mesh.vertices[u]
             w = w - np.dot(w, axis) * axis
-            norm = np.linalg.norm(w)
-            if norm <= 1e-12 * mesh.scale:
-                degenerate = True
-                break
-            wings.append(w / norm)
-        if degenerate:
-            warnings.append(
-                f"triple edge ({u}, {v}): a wing is parallel to the edge; skipped"
-            )
-            continue
-        checked_edges += 1
+            wings.append(w / np.linalg.norm(w))
         for i in range(3):
             for j in range(i + 1, 3):
                 edge_devs.append(abs(_angle_deg(wings[i], wings[j]) - 120.0))
@@ -570,7 +551,7 @@ def plateau_angle_check(mesh: FoamMesh, angle_tol_degrees: float = 1.0) -> Angle
     max_dev = max(edge_max, vertex_max)
     return AngleReport(
         triple_edge_count=len(triple_edges),
-        checked_edge_count=checked_edges,
+        checked_edge_count=len(triple_edges),
         edge_max_deviation_deg=edge_max,
         checked_vertex_count=checked_vertices,
         vertex_max_deviation_deg=vertex_max,

@@ -4,14 +4,16 @@ The feasible radii for N points form the polytope
 
     P = { r >= 0 : r_i + r_j <= d_ij for i != j, r_i <= r_max }
 
-described here by rows of a {-1, 0, +1} matrix M with M r <= b.  Two
-vertex enumerators are provided: a combinatorial active-set scan (the
+described here by rows of a {-1, 0, +1} matrix M with M r <= b.  A
+row's kind is its pattern (two +1 entries: pair row, one +1: cap row,
+one -1: nonneg row), and HPolytope checks the shape once.  Two vertex
+enumerators are provided: a combinatorial active-set scan (the
 reference: every size-N row subset is solved and feasibility-filtered)
-and a polar-dual route (shift by an interior point, scale rows by slack,
-take the convex hull of the scaled rows and the origin; each hull facet
-away from the origin maps back to a vertex).  The dual route is the
-default beyond a hundred row subsets and must agree with the reference
-to 1e-7.
+and a polar-dual route (in the budget frame below, shift by an interior
+point, scale rows by slack, take the convex hull of the scaled rows and
+the origin; each hull facet away from the origin maps back to a
+vertex).  The dual route is the default beyond a hundred row subsets
+and must agree with the reference to 1e-7.
 
 The interior point needs no LP.  Every row is a pair, cap or nonneg row,
 so x0_i = min over rows k with M[k, i] = +1 of b_k / (1 + p_k), with p_k
@@ -21,10 +23,12 @@ of at least b_k / (1 + p_k) and -r_i <= 0 a slack of x0_i.
 Budget frame.  With u_i the smallest b over the +1 rows of coordinate i,
 0 <= r_i <= u_i on P, so each radius is measured against its own budget:
 both routes accept row k when (M r)_k <= b_k plus FEASIBILITY_TOL times
-the largest u over the row's coordinates, |r_i| <= FEASIBILITY_TOL u_i
-is snapped to 0, and the dedup compares r_i / u_i.  A point near the
-domain boundary makes every u_i small, while pair rows elsewhere keep
-budgets near the domain size; in the budget frame it is no special case.
+the largest u over the row's coordinates, r_i <= FEASIBILITY_TOL u_i
+(rounding below 0 included) is snapped to 0, the dedup compares r_i /
+u_i, and the dual route takes its hull in y = r / u.  A point near the
+domain boundary, or two points much closer together than the domain
+size, make some u_i small while other budgets stay near the domain
+size; in the budget frame neither is a special case.
 
 Maximal vertices.  An objective that strictly increases in every radius
 (eva in its certified regime) peaks at a vertex that no other point of
@@ -54,9 +58,8 @@ Zero budgets.  A +1 row with b = 0 pins every coordinate in it to 0 at
 every vertex, and such a region has no interior for the dual route.
 enumerate_vertices drops the pinned columns from (M, b) and the rows
 left with no entry (a pair row with one pinned end becomes a cap row of
-the other end), enumerates the rest and puts the zeros back.  The
-enumerators read only the arrays (M, b), so the pinned system and D are
-plain array slices on the same path as P, and no row tags are rewritten.
+the other end), enumerates the rest and puts the zeros back: the pinned
+system and D are plain array slices on the same path as P.
 """
 
 from __future__ import annotations
@@ -95,47 +98,40 @@ _COMBINATORIAL_HARD_LIMIT = 20_000_000
 _CHUNK = 65_536
 
 
-# Per tag kind: how many +1 and -1 entries (in that order) its row holds.
-_ROW_PATTERN = {"pair": (2, 0), "nonneg": (0, 1), "cap": (1, 0)}
-
-
 @dataclass(eq=False)
 class HPolytope:
-    """Inequality system M r <= b with per-row provenance tags.
+    """Inequality system M r <= b, nothing but its arrays.
 
-    Tags are tuples: ("pair", i, j) for r_i + r_j <= d_ij,
-    ("nonneg", i) for -r_i <= 0, and ("cap", i) for r_i <= r_max.
+    Every row is a pair row r_i + r_j <= b_k, a cap row r_i <= b_k or a
+    nonneg row -r_i <= 0, and every coordinate has a +1 row and a nonneg
+    row: the shape that interior_point and enumerate_vertices rely on.
     """
 
     M: np.ndarray
     b: np.ndarray
-    row_tags: tuple
 
     def __post_init__(self):
         self.M = np.asarray(self.M, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         if self.M.ndim != 2 or self.M.shape[0] != len(self.b):
             raise ValueError("M must be (m, n) with one b entry per row")
-        if len(self.row_tags) != self.M.shape[0]:
-            raise ValueError("need one tag per row")
         if not np.all(np.isin(self.M, (-1.0, 0.0, 1.0))):
             raise ValueError("M entries must be in {-1, 0, +1}")
-        want = np.array(
-            [_ROW_PATTERN.get(tag[0], (-1, -1)) for tag in self.row_tags], dtype=int
-        ).reshape(-1, 2)
-        have = np.sum(self.M[:, :, None] == np.array([1.0, -1.0]), axis=1)
-        bad = np.flatnonzero(np.any(have != want, axis=1))
+        plus = np.count_nonzero(self.M == 1.0, axis=1)
+        minus = np.count_nonzero(self.M == -1.0, axis=1)
+        bad = np.flatnonzero(np.where(minus, (minus > 1) | (plus > 0), (plus < 1) | (plus > 2)))
         if bad.size:
-            raise ValueError(f"row pattern does not match tag {self.row_tags[bad[0]]}")
+            raise ValueError(f"row {bad[0]} is not a pair, cap or nonneg row")
         if np.any(self.b < 0):
             raise ValueError("b must be nonnegative (0 must be feasible)")
         # Bounded iff every coordinate is capped above by some row.
-        upper = np.any(self.M == 1.0, axis=0)
-        if not np.all(upper):
-            free = [i for i, u in enumerate(upper) if not u]
+        free = np.flatnonzero(~np.any(self.M == 1.0, axis=0)).tolist()
+        if free:
             raise UnboundedInstanceError(
                 f"no upper constraint on radii {free}; region is unbounded"
             )
+        if not np.all(np.any(self.M == -1.0, axis=0)):
+            raise ValueError("every coordinate needs a nonneg row")
 
     @property
     def n(self) -> int:
@@ -145,12 +141,20 @@ class HPolytope:
     def m(self) -> int:
         return self.M.shape[0]
 
-    def feasibility_tol(self) -> float:
-        return feasibility_tol_for(np.max(np.abs(self.b)))
+    @property
+    def row_tags(self) -> tuple:
+        """Each row's kind read off M: ("pair", i, j) with i < j for
+        r_i + r_j <= b, ("cap", i) for r_i <= b, ("nonneg", i) for -r_i <= 0."""
+        tags = []
+        for row in self.M:
+            cols = np.flatnonzero(row).tolist()
+            kind = "nonneg" if row[cols[0]] < 0 else ("cap", "pair")[len(cols) - 1]
+            tags.append((kind, *cols))
+        return tuple(tags)
 
     def contains(self, r, tol: float | None = None) -> bool:
         if tol is None:
-            tol = self.feasibility_tol()
+            tol = feasibility_tol_for(np.max(np.abs(self.b)))
         return bool(np.all(self.M @ np.asarray(r, dtype=float) <= self.b + tol))
 
     def to_json(self) -> dict:
@@ -187,23 +191,16 @@ def build_h_polytope(reduced: ReducedDistanceMatrix) -> HPolytope:
     n = reduced.n
     if n == 1:
         d11 = float(reduced.entries[0, 0])
-        return HPolytope(
-            np.array([[1.0], [-1.0]]),
-            np.array([d11, 0.0]),
-            (("cap", 0), ("nonneg", 0)),
-        )
+        return HPolytope(np.array([[1.0], [-1.0]]), np.array([d11, 0.0]))
     pairs = list(itertools.combinations(range(n), 2))
     iu, ju = np.array(pairs).T
     eye = np.eye(n)
     rows = [eye[iu] + eye[ju], np.diag(np.full(n, -1.0))]
     rhs = [reduced.entries[iu, ju], np.zeros(n)]
-    tags = [("pair", i, j) for i, j in pairs]
-    tags += [("nonneg", i) for i in range(n)]
     if math.isfinite(reduced.r_max):
         rows.append(eye)
         rhs.append(np.full(n, reduced.r_max))
-        tags += [("cap", i) for i in range(n)]
-    return HPolytope(np.vstack(rows), np.concatenate(rhs), tuple(tags))
+    return HPolytope(np.vstack(rows), np.concatenate(rhs))
 
 
 def interior_point(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,8 +208,9 @@ def interior_point(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     x0_i = min over rows k with M[k, i] = +1 of b_k / (1 + p_k), where p_k
     is the number of +1 entries in row k.  Every coordinate needs such a
-    row (HPolytope checks it) and every row must be a pair, cap or nonneg
-    row, so a row with p_k > 0 sums at most p_k shares of b_k / (1 + p_k)
+    row and every row must be a pair, cap or nonneg row: HPolytope checks
+    both, and the pinned system and D of enumerate_vertices keep them.
+    So a row with p_k > 0 sums at most p_k shares of b_k / (1 + p_k)
     and keeps slack >= b_k / (1 + p_k), while -r_i <= 0 keeps slack x0_i.
     So x0 > 0 however small the budgets, unless one is 0: then the region
     is lower-dimensional and DegeneratePolytopeError is raised.
@@ -231,8 +229,7 @@ def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> VertexSet:
     """All extreme points of the polytope, deduplicated and lex-sorted.
 
     Args:
-        poly: bounded, feasible inequality system with a nonneg row on
-            every coordinate (ValueError otherwise).
+        poly: the inequality system; HPolytope has checked its shape.
         maximal: return only the maximal vertices, those no other point
             of the polytope dominates coordinate-wise: the vertices of
             the downward closure D = {r_i + r_j <= d_ij, r_i <= u_i}
@@ -244,22 +241,18 @@ def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> VertexSet:
     One path over the arrays (M, b): the columns of coordinates pinned
     to 0 by a zero budget are dropped, and so are the rows left with no
     entry (see the module docstring); for maximal, D's rows replace the
-    rest.  The
-    combinatorial scan runs while n <= 1 or C(m, n) stays small, the
-    dual transform beyond; if its hull computation fails, the scan takes
-    over and the fallback is logged at debug level with its cause.  If
-    every coordinate is pinned, the scan's one empty subset gives the
-    origin.  The pinned zeros are put back, and every tolerance is
-    measured in the budget frame.  Each call logs its route, maximal
-    flag, pinned count, the n and m of the system enumerated, and the
-    vertex count at debug level on foambounds.polytope.
+    rest.  The combinatorial scan runs while n <= 1 or C(m, n) stays
+    small, the dual transform beyond; if its hull computation fails, the
+    scan takes over and the fallback is logged at debug level with its
+    cause.  If every coordinate is pinned, the scan's one empty subset
+    gives the origin.  The pinned zeros are put back, and every
+    tolerance is measured in the budget frame.  Each call logs its
+    route, maximal flag, pinned count, the n and m of the system
+    enumerated, and the vertex count at debug level on foambounds.polytope.
     """
-    if not np.all(np.any(poly.M == -1.0, axis=0)):
-        raise ValueError("vertex enumeration needs a nonneg row on every coordinate")
-
     # With r >= 0 on every coordinate, a +1 row with b = 0 pins each of
     # its coordinates: exactly those whose smallest +1 budget is 0.
-    u = _smallest_budgets(poly)
+    u = _smallest_budgets(poly.M, poly.b)
     pinned = u == 0.0
     M = poly.M[:, ~pinned]
     rows = np.any(M != 0.0, axis=1)
@@ -292,8 +285,10 @@ def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> VertexSet:
     verts = np.zeros((len(free), poly.n))
     verts[:, ~pinned] = free
     # Pinned coordinates are exact zeros; a unit frame leaves them so.
+    # Every vertex of P and of D is nonnegative, so a rounding error below
+    # zero is snapped too: D has no nonneg row to filter it out.
     frame = np.where(pinned, 1.0, u)
-    verts[np.abs(verts) <= FEASIBILITY_TOL * frame] = 0.0
+    verts[verts <= FEASIBILITY_TOL * frame] = 0.0
     out = VertexSet(_dedup_lex(verts, DEDUP_TOL, frame))
     _log.debug(
         "enumerate_vertices: route=%s maximal=%s pinned=%d n=%d m=%d vertices=%d",
@@ -302,9 +297,9 @@ def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> VertexSet:
     return out
 
 
-def _smallest_budgets(poly: HPolytope) -> np.ndarray:
+def _smallest_budgets(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     """u_i: the smallest b over the +1 rows of coordinate i."""
-    return np.min(np.where(poly.M == 1.0, poly.b[:, None], np.inf), axis=0)
+    return np.min(np.where(M == 1.0, b[:, None], np.inf), axis=0)
 
 
 def _combinatorial_vertices(M: np.ndarray, b: np.ndarray, feas_tol: np.ndarray) -> np.ndarray:
@@ -346,28 +341,29 @@ def _combinatorial_vertices(M: np.ndarray, b: np.ndarray, feas_tol: np.ndarray) 
 def _dual_transform_vertices(M: np.ndarray, b: np.ndarray, feas_tol: np.ndarray) -> np.ndarray:
     """Polar-dual enumerator, for a polytope or a pointed region like D.
 
-    Shift the region M r <= b by an interior point x0 so 0 is strictly
-    inside, scale each row by its slack to get {y : A y <= 1}, and take
-    the convex hull of the rows of A and the origin.  Every hull facet
-    {z : u.z <= -d} with d > 0 maps to the vertex x0 + u / (-d); rows of
-    redundant constraints land strictly inside the hull and drop out
-    automatically.  Facets through the origin belong to unbounded faces
-    of the region and are cut: a vertex lies within sqrt(n) max(b) of x0
-    (both sit in [0, max(b)]^n), so its facet has d >= 1 / (sqrt(n) max(b)),
-    and only facets with d above half that are kept.  For a polytope the
-    origin is strictly inside the hull, so it changes no facet and the
-    cut keeps every one.  The origin goes first in the point list: for D
-    Qhull then finishes in about two thirds of the time it takes with
-    the origin last.  feas_tol holds one tolerance per row.
+    Works in the budget frame y = r / u, where the region reads
+    M diag(u) y <= b and every vertex, like the interior point y0 = x0 / u,
+    lies in [0, 1]^n; in r itself a close point pair's tiny pair budget
+    makes Qhull lose that row's small facets.  Shift by y0 so 0 is
+    strictly inside, scale each row by its slack to get {y : A y <= 1},
+    and take the convex hull of the rows of A and the origin.  Every
+    hull facet {z : w.z = -d} with d > 0 maps to the vertex
+    u (y0 + w / d); redundant rows land strictly inside the hull.
+    Facets through the origin belong to unbounded faces of the region
+    and are cut: a vertex lies within sqrt(n) of y0, so its facet has
+    d >= 1 / sqrt(n), and only facets with d above half that are kept.
+    For a polytope the origin is strictly inside the hull and changes no
+    facet.  The origin goes first in the point list: for D Qhull then
+    finishes in about two thirds of the time it takes with the origin
+    last.  feas_tol holds one tolerance per row.
     """
     n = M.shape[1]
+    u = _smallest_budgets(M, b)
     x0 = interior_point(M, b)
     slack = b - M @ x0
-    dual_points = np.vstack([np.zeros(n), M / slack[:, None]])
-    hull = ConvexHull(dual_points)
-    cut = -0.5 / (math.sqrt(n) * float(np.max(b)))
-    facets = hull.equations[hull.equations[:, -1] < cut]
-    verts = x0[None, :] + facets[:, :-1] / (-facets[:, -1:])
+    hull = ConvexHull(np.vstack([np.zeros(n), M * u / slack[:, None]]))
+    facets = hull.equations[hull.equations[:, -1] < -0.5 / math.sqrt(n)]
+    verts = u * (x0 / u + facets[:, :-1] / (-facets[:, -1:]))
     feasible = np.all(verts @ M.T <= b + feas_tol, axis=1)
     return verts[feasible]
 
@@ -378,30 +374,19 @@ def _dedup_lex(verts: np.ndarray, dedup_tol: float, frame: np.ndarray) -> np.nda
     A row is dropped iff, divided by the frame, it lies within dedup_tol
     (inf-norm, inclusive) of an earlier kept row of the sorted order; kept
     rows are returned unscaled.  An exact repeat of the row before it
-    always shares that row's fate, so repeats are cut first.  A
-    nearest-other-row query then screens out the rows with no other row
-    within dedup_tol: they are in no close pair, and usually that is
-    every row.  One k-d tree query lists every close pair of the rows
-    left (i < j in sorted order); visiting the pairs by increasing j
-    settles each row's fate before any later row asks about it, so only
-    close pairs are ever looked at.  Needs dedup_tol >= 0 and frame > 0.
+    always shares that row's fate, so repeats are cut first.  One k-d
+    tree query then lists every close pair of the distinct rows (i < j
+    in sorted order); visiting the pairs by increasing j settles each
+    row's fate before any later row asks about it, so only close pairs
+    are ever looked at.  Needs dedup_tol >= 0 and frame > 0.
     """
     verts = verts[np.lexsort(verts.T[::-1])]
     scaled = verts / frame
     distinct = np.ones(len(verts), dtype=bool)
     distinct[1:] = np.any(scaled[1:] != scaled[:-1], axis=1)
     verts, scaled = verts[distinct], scaled[distinct]
-    # Rows are distinct, so each row's nearest hit is itself and the second
-    # is its nearest other row (inf when none lies within the bound, which
-    # cKDTree treats as strict, hence the nextafter).
-    nearest, _ = cKDTree(scaled).query(
-        scaled, k=2, p=np.inf, distance_upper_bound=np.nextafter(dedup_tol, np.inf)
-    )
-    close = np.flatnonzero(nearest[:, 1] <= dedup_tol)
-    if close.size == 0:
-        return verts
-    pairs = cKDTree(scaled[close]).query_pairs(dedup_tol, p=np.inf, output_type="ndarray")
-    pairs = close[pairs[np.argsort(pairs[:, 1])]]
+    pairs = cKDTree(scaled).query_pairs(dedup_tol, p=np.inf, output_type="ndarray")
+    pairs = pairs[np.argsort(pairs[:, 1])]
     keep = [True] * len(verts)
     for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
         if keep[i]:

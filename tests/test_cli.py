@@ -400,6 +400,14 @@ def test_mesh_verify_rejects_curve_points_below_one(points, tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_mesh_verify_rejects_two_coordinate_center(tmp_path, capsys):
+    mesh_path = tmp_path / "cone.off"
+    save_off(tetrahedral_cone(2.5), mesh_path)
+    argv = ["mesh-verify", "--input", str(mesh_path), "--center", "0,0", "--radius", "1.0"]
+    assert run(argv) == 2
+    assert "--center" in capsys.readouterr().err
+
+
 def ball_instance(tmp_path, n, gap, h):
     """n points in the unit ball, the last one gap inside the sphere (on it
     when gap = 0), as an instance file."""

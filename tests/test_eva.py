@@ -363,6 +363,60 @@ def test_point_near_domain_boundary_needs_no_fallback(caplog, vertex_route):
                 assert values[3.0] == pytest.approx(values[0.0], rel=1e-6), (n, gap)
 
 
+def close_pair_instance(seed, n, sep):
+    """n - 1 random points inside the unit ball plus a copy of the first
+    one moved sep away."""
+    rng = np.random.default_rng(seed)
+    points = random_point_set(rng, n - 1).points
+    step = rng.normal(size=3)
+    step *= sep / np.linalg.norm(step)
+    return PointSet(np.vstack([points, points[0] + step])), Ball(np.zeros(3), 1.0)
+
+
+def assert_vertices_of_closure(poly, verts):
+    """Every row of verts is a vertex of the downward closure D: it is
+    nonnegative, and n of D's rows are tight, of full rank, each slack
+    measured against the largest budget u over the row's coordinates."""
+    assert np.all(verts >= 0.0)
+    u = np.min(np.where(poly.M == 1.0, poly.b[:, None], np.inf), axis=0)
+    pairs = np.count_nonzero(poly.M == 1.0, axis=1) == 2
+    rows = np.vstack([poly.M[pairs], np.eye(poly.n)])
+    rhs = np.concatenate([poly.b[pairs], u])
+    scale = np.max(np.where(rows != 0.0, u, 0.0), axis=1)
+    for v in verts:
+        tight = np.abs(rhs - rows @ v) <= 1e-9 * scale
+        assert np.linalg.matrix_rank(rows[tight]) == poly.n, v
+
+
+def test_close_point_pair_keeps_every_maximal_vertex(vertex_route):
+    # Two points sep apart give their pair row a budget near sep, while the
+    # other rows keep budgets near 1: a hull taken in r itself loses that
+    # row's small facets (2 of the scan's 8 maximal vertices survive in the
+    # first case, three points plus a copy of the first moved 3e-9).  A
+    # coordinate of such a vertex can also round below 0 ((4, 1) at 1e-8),
+    # and D has no nonneg row to drop it.
+    # C(m, n) on D stays below 60k, so the scan is the oracle.
+    cases = [(0, 4, 3e-9)] + [
+        ((n, k), n, sep)
+        for n in (4, 5, 6)
+        for sep in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+        for k in range(2)
+    ]
+    objective = EvaObjective(0.3)
+    for seed, n, sep in cases:
+        matrix = build_distance_matrix(*close_pair_instance(seed, n, sep))
+        reduced = reduce_distance_matrix(matrix, 0.3)
+        poly = build_h_polytope(reduced)
+        vertex_route("auto")
+        res = maximize_eva(reduced, objective)
+        assert res.convexity_certified
+        assert_vertices_of_closure(poly, enumerate_vertices(poly, maximal=True).vertices)
+        vertex_route("combinatorial")
+        scan = enumerate_vertices(poly, maximal=True).vertices
+        best = float(np.max(objective.values(scan)))
+        assert res.value >= best * (1.0 - 1e-12), (seed, n, sep)
+
+
 def test_radii_capped_at_r_max_when_h_positive():
     rng = np.random.default_rng(17)
     for _ in range(10):

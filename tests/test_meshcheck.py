@@ -655,6 +655,13 @@ def test_ball_tangent_to_sheet():
     assert clipped_area(sheet, DiscProbe([0.3, -0.2, -0.25], 0.25), eps=1e-3) == 0.0
 
 
+def test_ball_missing_the_mesh():
+    # Centre 5 above the sheet: the ball misses every triangle's bounding
+    # sphere, so no triangle is clipped and no rounding is charged.
+    sheet = flat_sheet(2.0)
+    assert _clipped_area_detail(sheet, DiscProbe([0.0, 0.0, 5.0], 0.5), 1e-3) == (0.0, 0.0)
+
+
 def test_ball_containing_whole_mesh(unit_sphere):
     for mesh in (unit_sphere, triple_wedge(2.5), tetrahedral_cone(2.5)):
         area = clipped_area(mesh, DiscProbe([0.1, 0.0, -0.1], 10.0), eps=1e-3)
@@ -809,6 +816,22 @@ def test_ambiguous_vertex_warns():
     report = plateau_angle_check(mesh, angle_tol_degrees=180.0)
     assert report.triple_edge_count == 2
     # Vertex 1 sits between two borders: skipped silently, no warning needed.
+    assert report.checked_vertex_count == 0
+
+
+def test_vertex_with_six_borders_warns():
+    # A cone over the triangular prism graph: one triangle (apex, a, b) per
+    # prism edge a-b.  Each prism vertex has degree 3, so every apex edge is
+    # a Plateau border and the apex meets 6 of them; the ring edges are
+    # boundary edges, so the ring points are skipped silently.
+    angles = np.radians([0.0, 120.0, 240.0, 60.0, 180.0, 300.0])
+    ring = np.stack([np.cos(angles), np.sin(angles), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]], axis=1)
+    prism_edges = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]
+    apex = [[0.0, 0.0, 3.0]]
+    mesh = FoamMesh(np.vstack([apex, ring]), np.array([(0, a, b) for a, b in prism_edges]))
+    report = plateau_angle_check(mesh, angle_tol_degrees=180.0)
+    assert report.triple_edge_count == 6
+    assert report.warnings == ("vertex 0: 6 incident Plateau borders (need 4); skipped",)
     assert report.checked_vertex_count == 0
 
 

@@ -182,18 +182,17 @@ def test_build_rows_match_loop_reference():
 def test_hpolytope_rejects_unbounded():
     with pytest.raises(UnboundedInstanceError):
         HPolytope(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]),
-                  np.array([0.0, 0.0, 1.0]),
-                  (("nonneg", 0), ("nonneg", 1), ("cap", 0)))
+                  np.array([0.0, 0.0, 1.0]))
 
 
 def test_hpolytope_rejects_bad_entries():
     with pytest.raises(ValueError):
-        HPolytope(np.array([[2.0]]), np.array([1.0]), (("cap", 0),))
-    # A row whose pattern contradicts its tag; the first such tag is named.
-    m = np.array([[1.0, 1.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    tags = (("pair", 0, 1), ("cap", 0), ("nonneg", 1), ("cap", 1))
-    with pytest.raises(ValueError, match=r"tag \('cap', 0\)"):
-        HPolytope(m, np.ones(4), tags)
+        HPolytope(np.array([[2.0]]), np.array([1.0]))
+    # Rows 3 ([1, -1]) and 4 (empty) are neither a pair, a cap nor a
+    # nonneg row; the first of them is named by its index.
+    m = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, -1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"row 3 is not"):
+        HPolytope(m, np.ones(5))
 
 
 # --- enumeration ------------------------------------------------------------
@@ -427,12 +426,9 @@ def test_maximal_single_point_is_the_interval_top():
 
 def test_maximal_needs_nonneg_rows():
     # r_1 + r_2 <= 1 with caps, but nothing bounds the radii below, so no
-    # budget bounds |r_i| either: both enumerations refuse it.
-    poly = HPolytope(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]), np.ones(3),
-                     (("pair", 0, 1), ("cap", 0), ("cap", 1)))
-    for maximal in (False, True):
-        with pytest.raises(ValueError, match="nonneg"):
-            enumerate_vertices(poly, maximal=maximal)
+    # budget bounds |r_i| either: the system is refused at construction.
+    with pytest.raises(ValueError, match="nonneg"):
+        HPolytope(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]), np.ones(3))
 
 
 def test_zero_budget_coordinates_are_pinned(vertex_route):
@@ -549,7 +545,6 @@ def test_interior_point_unit_square():
     poly = HPolytope(
         np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
         np.array([1.0, 1.0, 0.0, 0.0]),
-        (("cap", 0), ("cap", 1), ("nonneg", 0), ("nonneg", 1)),
     )
     assert interior_point(poly.M, poly.b) == pytest.approx([0.5, 0.5])
 
