@@ -56,6 +56,15 @@ _PRUNE_RTOL = 1e-12
 # stationary at the root, so its value there is exact to rounding.
 _PAIR_BISECT_STEPS = 64
 
+# Relative margin by which a bound on a face of a 3-point polytope must
+# beat the best value found for the face search to go on (see
+# _segment_max); below _PRUNE_RTOL, so the subset search cannot tell a
+# triangle's value from its maximum.
+_FACE_RTOL = 1e-13
+
+# Cells per refined cell in the face search.
+_FACE_SPLIT = 16
+
 
 def _disc_area(theta, h: float, r):
     """pi theta exp(-2 h r) r^2, elementwise: the one copy of the formula."""
@@ -111,7 +120,7 @@ class EvaObjective:
 
     def gradient(self, radii) -> np.ndarray:
         r = np.atleast_1d(np.asarray(radii, dtype=float))
-        theta = self.thetas(len(r))
+        theta = self.thetas(r.shape[-1])
         return math.pi * theta * np.exp(-2.0 * self.h * r) * (2.0 * r - 2.0 * self.h * r * r)
 
     def subset(self, indices) -> "EvaObjective":
@@ -128,13 +137,13 @@ class EvaResult:
     radii: np.ndarray
     # Index of the best vertex in the scanned list (the maximal vertices
     # when the convex regime is certified, every vertex otherwise), or
-    # None when another solve (the two-point solve or the local ascent)
-    # beat every vertex.
+    # None when another solve (the two- or three-point solve or the local
+    # ascent) beat every vertex.
     attaining_vertex: int | None
     # True when value is a proven maximum: the convex regime or a single
-    # point (see convexity_certified), or two points (exact pair solve).
-    # False means only a local ascent ran, so value is attained but may
-    # fall short of the maximum.
+    # point (see convexity_certified), or two or three points (exact pair
+    # solve; face search, to a relative 1e-13).  False means only a local
+    # ascent ran, so value is attained but may fall short of the maximum.
     convexity_certified: bool
 
 
@@ -168,7 +177,8 @@ def convexity_certified(reduced: ReducedDistanceMatrix) -> bool:
     r_max).
 
     maximize_eva's flag of the same name means "proven maximum": these
-    cases, plus every two-point polytope, which it solves exactly.
+    cases, plus every two- or three-point polytope, which it solves
+    exactly.
     """
     if reduced.h == 0.0:
         return True
@@ -191,11 +201,13 @@ def maximize_eva(
     another feasible point dominates coordinate-wise neither attains nor
     ties the maximum, and the lexicographically first best vertex is the
     same in both lists.  Outside that regime every vertex is scanned.  Two
-    points are then solved exactly by _pair_max, which replaces the vertex
-    only when strictly better; for three or more points the vertex scan
-    is augmented with deterministic multi-start local ascent, seeded from
-    the vertices, and the better of the two is returned.  Either way the
-    value is attained by feasible radii, hence a valid area bound.
+    points are then solved exactly by _pair_max and three by the face
+    search of _triple_max, each replacing the vertex only when strictly
+    better, and the result is certified.  For four or more points the
+    vertex scan is augmented with deterministic multi-start local ascent,
+    seeded from the vertices, and the better of the two is returned.
+    Either way the value is attained by feasible radii, hence a valid
+    area bound.
     """
     if objective is None:
         objective = EvaObjective(reduced.h)
@@ -217,6 +229,11 @@ def maximize_eva(
         value, r_1, r_2 = _pair_max(*objective.thetas(2), reduced.h, budget, cap, cap)
         if value[0] > best_value:
             best_value, best_radii, attaining = value[0], np.array([r_1[0], r_2[0]]), None
+        certified = True
+    elif reduced.n == 3 and not certified:
+        value, radii = _triple_max(poly, reduced, objective, best_value)
+        if value > best_value:
+            best_value, best_radii, attaining = value, radii, None
         certified = True
     elif not certified:
         try:
@@ -311,6 +328,146 @@ def _pair_stationary(log_ratio: np.ndarray, rho: np.ndarray) -> np.ndarray:
             np.add(lo, step, out=lo, where=rising)
         x[inner] = lo + 0.5 * step
     return x
+
+
+def _triple_max(
+    poly: HPolytope, reduced: ReducedDistanceMatrix, objective: EvaObjective, best: float
+) -> tuple[float, np.ndarray | None]:
+    """Best radii of a 3-point polytope off its vertices, by the face lemma.
+
+    Face lemma.  f(r) = r^2 e^(-2hr) strictly increases on [0, 1/h] and
+    r_max <= 1/h.  At a maximum every radius is at r_max or in a tight
+    pair row: otherwise every row through it is slack, and raising it a
+    little stays feasible and, as theta_i > 0, raises the sum.  So the
+    maximum lies among
+      (a) the vertices, which maximize_eva has scanned; best is their
+          best value;
+      (b) pair segments: one tight pair row {i, j} and the third radius
+          k at r_max.  Putting k at u_k = min(r_max, R_ik, R_jk) instead
+          keeps every candidate feasible (the case is empty when
+          u_k < r_max).  The pair is solved exactly by _pair_max at
+          budget R_ij with caps min(u_i, R_ik - u_k) and
+          min(u_j, R_jk - u_k), all pairs in one call.  A pair is
+          skipped when its corner, both radii at their caps, is feasible
+          (it is then a vertex and the pair's maximum) or cannot beat best;
+      (c) stars: the two pair rows through a centre c tight, r_c = x,
+          r_a = R_ca - x and r_b = R_cb - x, feasible for x in [lo, hi]
+          with lo = max(0, R_ca - r_max, R_cb - r_max,
+          (R_ca + R_cb - R_ab)/2) and hi = min(r_max, R_ca, R_cb); all
+          three rows tight is the lo end.  _segment_max searches them.
+    u_i is the smallest budget of radius i.  A candidate counts only if
+    M r <= b holds with no tolerance; rounding can put one an ulp
+    outside a row, so a failing candidate is shrunk by 16 eps once (a
+    relative loss below 4e-15) and dropped if it still fails.
+
+    Returns the value and radii of the best feasible candidate, or
+    (-inf, None) when there is none: no face point beats best by more
+    than _FACE_RTOL, relative.
+    """
+    h, r_max, R = reduced.h, reduced.r_max, reduced.entries
+    theta = objective.thetas(3)
+    u = np.minimum(np.min(np.where(np.eye(3, dtype=bool), np.inf, R), axis=1), r_max)
+    eye = np.eye(3)
+    # One rotation per point c: the pair segment {a, b} with c at u_c,
+    # and the star with centre c.
+    c, a, b = np.array([0, 1, 2]), np.array([1, 0, 0]), np.array([2, 2, 1])
+    found = []
+    cap_a = np.minimum(u[a], R[a, c] - u[c])
+    cap_b = np.minimum(u[b], R[b, c] - u[c])
+    corner = eye[a] * cap_a[:, None] + eye[b] * cap_b[:, None] + eye[c] * u[c, None]
+    live = (cap_a + cap_b > R[a, b]) & (objective.values(corner) > best * (1.0 + _FACE_RTOL))
+    if np.any(live):
+        a_, b_, c_ = a[live], b[live], c[live]
+        _, r_a, r_b = _pair_max(theta[a_], theta[b_], h, R[a_, b_], cap_a[live], cap_b[live])
+        found.extend(eye[a_] * r_a[:, None] + eye[b_] * r_b[:, None] + eye[c_] * u[c_, None])
+    lo = np.maximum.reduce([
+        np.zeros(3), R[c, a] - r_max, R[c, b] - r_max, 0.5 * (R[c, a] + R[c, b] - R[a, b])
+    ])
+    hi = np.minimum.reduce([np.full(3, r_max), R[c, a], R[c, b]])
+    star = lo <= hi
+    off = eye[a] * R[c, a, None] + eye[b] * R[c, b, None]
+    point = _segment_max(
+        objective, off[star], (eye[c] - eye[a] - eye[b])[star], lo[star], hi[star], best
+    )
+    if point is not None:
+        found.append(point)
+    value, radii = -math.inf, None
+    for r in found:
+        if not poly.contains(r, tol=0.0):
+            r = r * (1.0 - 16.0 * np.finfo(float).eps)
+        if not poly.contains(r, tol=0.0):
+            continue
+        v = objective.value(r)
+        if v > value:
+            value, radii = v, r
+    return value, radii
+
+
+def _segment_max(
+    objective: EvaObjective,
+    off: np.ndarray,
+    direction: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    best: float,
+) -> np.ndarray | None:
+    """Best point of eva on the segments off + x direction, x in [lo, hi].
+
+    Returns the radii of the best point found that beats best, or None;
+    either way no point of any segment beats the larger of best and its
+    value by more than _FACE_RTOL, relative.  Every radius stays in
+    [0, 1/h] on a segment and direction has entries in {-1, 0, 1}, so
+    g(x) = eva(off + x direction) has |g''| <= K = 2 pi sum(theta): on
+    [0, 1/h], |f''(r)| = |2 - 8hr + 4h^2 r^2| e^(-2hr) <= 2.  Each step
+    drops what cannot beat the best value so far by more than the
+    margin:
+      - the ends: g(lo + t) <= g(lo) + g'(lo) t + K t^2 / 2 <= g(lo) for
+        0 <= t <= -2 g'(lo) / K, so where g'(lo) < 0 that stretch is cut,
+        and likewise at hi.  An end is a vertex, so it beats best by
+        more than the margin only if the vertex scan lost it, and then
+        it is the best point;
+      - cells, after Shubert (1972): on a cell of width w,
+        g <= max(g at its ends) + K w^2 / 8.  A cell whose bound beats
+        the best value is split into _FACE_SPLIT cells and the new
+        points are evaluated, until no cell is left or a cell holds no
+        float strictly between its ends.
+    """
+    if len(lo) == 0:
+        return None
+    K = 2.0 * math.pi * float(np.sum(objective.thetas(3)))
+    ends = off + np.stack([lo, hi])[..., None] * direction
+    g_ends = objective.values(ends)
+    point = None
+    m = int(np.argmax(g_ends))
+    if g_ends.flat[m] > best * (1.0 + _FACE_RTOL):
+        best, point = float(g_ends.flat[m]), ends.reshape(-1, 3)[m]
+    slope = np.sum(objective.gradient(ends) * direction, axis=-1)
+    xl = lo - 2.0 * np.minimum(slope[0], 0.0) / K
+    xr = hi - 2.0 * np.maximum(slope[1], 0.0) / K
+    seg = np.flatnonzero(xl < xr)
+    xl, xr = xl[seg], xr[seg]
+    gl, gr = objective.values(off[seg] + np.stack([xl, xr])[..., None] * direction[seg])
+    t = np.arange(1, _FACE_SPLIT) / _FACE_SPLIT
+    while len(seg):
+        w = xr - xl
+        split = (np.maximum(gl, gr) + 0.125 * K * w * w > best * (1.0 + _FACE_RTOL)) & (
+            xr > np.nextafter(xl, np.inf)
+        )
+        if not np.any(split):
+            break
+        seg, xl, xr, gl, gr, w = seg[split], xl[split], xr[split], gl[split], gr[split], w[split]
+        x = xl[:, None] + w[:, None] * t
+        rows = np.repeat(seg, _FACE_SPLIT - 1)
+        r = off[rows] + x.reshape(-1, 1) * direction[rows]
+        g = objective.values(r)
+        m = int(np.argmax(g))
+        if g[m] > best:
+            best, point = float(g[m]), r[m]
+        xs = np.column_stack([xl, x, xr])
+        gs = np.column_stack([gl, g.reshape(x.shape), gr])
+        xl, xr, gl, gr = xs[:, :-1].ravel(), xs[:, 1:].ravel(), gs[:, :-1].ravel(), gs[:, 1:].ravel()
+        seg = np.repeat(seg, _FACE_SPLIT)
+    return point
 
 
 def _multistart_ascent(
@@ -466,8 +623,9 @@ def _subset_upper_bounds(
     # A vertex meets r_i + r_j <= R_ij and r_j >= 0 only to within the
     # enumerator's per-row feasibility tolerance, so r_i can exceed u_i by
     # twice that.  Each row's tolerance is FEASIBILITY_TOL times a budget
-    # of the subset polytope, hence at most t = feasibility_tol_for(its
-    # largest right-hand side), which is among these values; widening by
+    # of the subset polytope plus ROUNDING_TOL times its largest budget,
+    # hence at most t = feasibility_tol_for(its largest right-hand side),
+    # which is among these values; widening by
     # 2t keeps the bound sound.  f increases up to 1/h, not just up to a
     # smaller radius cap, so the widened radii are clipped at 1/h.
     rhs = np.concatenate([reduced.entries.ravel(), single, [r_max]])

@@ -23,12 +23,15 @@ of at least b_k / (1 + p_k) and -r_i <= 0 a slack of x0_i.
 Budget frame.  With u_i the smallest b over the +1 rows of coordinate i,
 0 <= r_i <= u_i on P, so each radius is measured against its own budget:
 both routes accept row k when (M r)_k <= b_k plus FEASIBILITY_TOL times
-the largest u over the row's coordinates, r_i <= FEASIBILITY_TOL u_i
-(rounding below 0 included) is snapped to 0, the dedup compares r_i /
-u_i, and the dual route takes its hull in y = r / u.  A point near the
-domain boundary, or two points much closer together than the domain
-size, make some u_i small while other budgets stay near the domain
-size; in the budget frame neither is a special case.
+the largest u over the row's coordinates plus ROUNDING_TOL max(b) (a
+vertex solved from rows near max(b) carries that much rounding in every
+coordinate, more than the first term of a row with a tiny budget),
+r_i <= FEASIBILITY_TOL u_i (rounding below 0 included) is snapped to 0,
+the dedup compares r_i / u_i, and the dual route takes its hull in
+y = r / u.  A point near the domain boundary, or two points much closer
+together than the domain size, make some u_i small while other budgets
+stay near the domain size; in the budget frame neither is a special
+case.
 
 Maximal vertices.  An objective that strictly increases in every radius
 (eva in its certified regime) peaks at a vertex that no other point of
@@ -82,12 +85,14 @@ _log = logging.getLogger(__name__)
 # constraint matrices in doubles.
 FEASIBILITY_TOL = 1e-9
 DEDUP_TOL = 1e-7
+# Rounding allowance on every row, relative to the largest budget.
+ROUNDING_TOL = 4.0 * np.finfo(float).eps
 
 
 def feasibility_tol_for(b_max: float) -> float:
     """Absolute feasibility tolerance for a system whose largest |b| is b_max:
     at least every per-row tolerance of enumerate_vertices."""
-    return FEASIBILITY_TOL * max(1.0, float(b_max))
+    return FEASIBILITY_TOL * max(1.0, float(b_max)) + ROUNDING_TOL * float(b_max)
 
 
 # Row-subset count above which enumerate_vertices takes the dual-transform
@@ -263,8 +268,10 @@ def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> VertexSet:
         b = np.concatenate([b[pairs], u_free])
     m, n = M.shape
     # Row k's tolerance is measured against the largest budget of its
-    # coordinates, so it never exceeds feasibility_tol_for(max b).
+    # coordinates, plus the rounding allowance, so it never exceeds
+    # feasibility_tol_for(max b).
     feas_tol = FEASIBILITY_TOL * np.max(np.where(M != 0.0, u_free, 0.0), axis=1, initial=0.0)
+    feas_tol += ROUNDING_TOL * np.max(b, initial=0.0)
     route = "combinatorial"
     # Qhull needs two dimensions or more; the scan also covers n = 0.
     if n <= 1 or math.comb(m, n) <= _AUTO_COMBINATORIAL_LIMIT:

@@ -34,7 +34,13 @@ from foambounds import (
     maximize_eva,
     reduce_distance_matrix,
 )
-from foambounds.eva import CONVEXITY_COEFF, _multistart_ascent, _pair_max, _subset_upper_bounds
+from foambounds.eva import (
+    CONVEXITY_COEFF,
+    _multistart_ascent,
+    _pair_max,
+    _subset_upper_bounds,
+    _triple_max,
+)
 from foambounds.geometry import THETA_V_PI
 
 from conftest import (
@@ -192,8 +198,11 @@ def test_certified_vertex_never_beaten_by_ascent_mixed_weights():
 
 def test_uncertified_instance_uses_ascent_and_stays_feasible():
     # Far-apart points in a big ball with h > 0: reduced entries exceed
-    # (2 - sqrt(2))/h, so the convexity certificate must not fire.
-    points = PointSet(np.array([[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0], [0.0, 5.0, 0.0]]))
+    # (2 - sqrt(2))/h, so the convexity certificate must not fire.  Four
+    # points, as three are solved exactly.
+    points = PointSet(
+        np.array([[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 5.0]])
+    )
     domain = Ball(np.zeros(3), 10.0)
     h = 0.3
     reduced = reduce_distance_matrix(build_distance_matrix(points, domain), h)
@@ -211,7 +220,8 @@ def test_uncertified_instance_uses_ascent_and_stays_feasible():
 
 def test_ascent_beats_every_vertex():
     # Outside the convex regime (h R up to 0.94) with unequal weights the
-    # maximum lies inside a face: the local ascent replaces the vertex.
+    # maximum lies inside a face.  Three points: the face search replaces
+    # the vertex and proves the value.  Four points: the local ascent does.
     h = 3.0
     reduced = ReducedDistanceMatrix(
         np.array([[0.0, 0.914, 0.666], [0.914, 0.0, 0.941], [0.666, 0.941, 0.0]]) / h, h
@@ -220,21 +230,39 @@ def test_ascent_beats_every_vertex():
     res = maximize_eva(reduced, objective)
     poly = build_h_polytope(reduced)
     vertex_best = float(np.max(objective.values(enumerate_vertices(poly).vertices)))
+    assert res.attaining_vertex is None and res.convexity_certified
+    assert res.value == pytest.approx(0.0933346, abs=1e-7)  # vertex: 0.092842
+    assert res.value > vertex_best * (1.0 + 1e-3)
+    assert poly.contains(res.radii, tol=0.0)
+
+    entries = np.zeros((4, 4))
+    entries[np.triu_indices(4, 1)] = [0.903, 0.799, 0.812, 0.914, 0.766, 0.894]
+    reduced = ReducedDistanceMatrix((entries + entries.T) / h, h)
+    objective = EvaObjective(h, np.ones(4))
+    res = maximize_eva(reduced, objective)
+    poly = build_h_polytope(reduced)
+    vertex_best = float(np.max(objective.values(enumerate_vertices(poly).vertices)))
     assert res.attaining_vertex is None and not res.convexity_certified
-    assert res.value > vertex_best * (1.0 + 1e-3)  # 0.093335 against 0.092842
+    assert res.value > vertex_best * (1.0 + 1e-3)  # 0.097722 against 0.097199
     assert poly.contains(res.radii, tol=0.0)
 
 
 def test_degenerate_polytope_falls_back_to_vertex_scan():
-    # d_12 = 0 pins two radii at zero, so the region is a segment with no
-    # interior, and entries of 3 keep the instance outside the certified
-    # regime: the ascent cannot start, but the vertex scan must stand.
-    d = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 3.0], [3.0, 3.0, 0.0]])
+    # d_12 = 0 pins two radii at zero, so the region has no interior, and
+    # entries of 3 keep the instance outside the certified regime: the
+    # ascent cannot start, but the vertex scan must stand.  (Four points:
+    # three are solved without the ascent.)
+    d = np.array([
+        [0.0, 0.0, 3.0, 3.0],
+        [0.0, 0.0, 3.0, 3.0],
+        [3.0, 3.0, 0.0, 3.0],
+        [3.0, 3.0, 3.0, 0.0],
+    ])
     res = maximize_eva(ReducedDistanceMatrix(d, 0.3))
-    assert not res.convexity_certified
-    assert res.radii == pytest.approx([0.0, 0.0, 3.0])
+    assert not res.convexity_certified and res.attaining_vertex is not None
+    assert res.radii == pytest.approx([0.0, 0.0, 0.0, 3.0])
     assert res.value == pytest.approx(
-        EvaObjective(0.3).value([0.0, 0.0, 3.0]), rel=1e-12
+        EvaObjective(0.3).value([0.0, 0.0, 0.0, 3.0]), rel=1e-12
     )
 
 
@@ -298,7 +326,7 @@ def test_certified_nine_points_scan_is_fast():
 
 
 def test_vertex_scan_logs_maximal_flag(caplog):
-    uncertified = ReducedDistanceMatrix(np.full((3, 3), 3.0) - 3.0 * np.eye(3), 0.3)
+    uncertified = ReducedDistanceMatrix(np.full((4, 4), 3.0) - 3.0 * np.eye(4), 0.3)
     for reduced, certified in ((worked_reduced(), True), (uncertified, False)):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
@@ -415,6 +443,29 @@ def test_close_point_pair_keeps_every_maximal_vertex(vertex_route):
         scan = enumerate_vertices(poly, maximal=True).vertices
         best = float(np.max(objective.values(scan)))
         assert res.value >= best * (1.0 - 1e-12), (seed, n, sep)
+
+
+def test_scan_and_dual_route_agree_on_close_pairs(vertex_route):
+    # Two-sided oracle.  A vertex solved from rows near 1 carries rounding
+    # near 1e-16 in every coordinate, more than the budget-frame tolerance
+    # of a pair row whose budget is sep; without the rounding allowance
+    # the scan dropped real vertices (two of ten at N = 4, sep = 3e-9).
+    for n in (4, 5, 6):
+        for sep in (1e-6, 1e-7, 1e-8, 3e-9):
+            for k in range(2):
+                matrix = build_distance_matrix(*close_pair_instance((n, k), n, sep))
+                poly = build_h_polytope(reduce_distance_matrix(matrix, 0.3))
+                u = np.min(np.where(poly.M == 1.0, poly.b[:, None], np.inf), axis=0)
+                # C(m, n) of the full system passes 296k at N = 6.
+                for maximal in (True,) if n == 6 else (False, True):
+                    vertex_route("combinatorial")
+                    scan = enumerate_vertices(poly, maximal=maximal).vertices
+                    vertex_route("dual")
+                    dual = enumerate_vertices(poly, maximal=maximal).vertices
+                    close = np.all(np.abs(scan[:, None] - dual[None]) <= 1e-7 * u, axis=2)
+                    case = (n, sep, k, maximal, len(scan), len(dual))
+                    assert len(scan) == len(dual), case
+                    assert close.any(axis=1).all() and close.any(axis=0).all(), case
 
 
 def test_radii_capped_at_r_max_when_h_positive():
@@ -671,6 +722,128 @@ def test_pair_tightened_bound_covers_every_subset():
     per_point = [objective.subset(s).value(np.full(len(s), 1.0 / 6.0))
                  for size in range(2, 5) for s in itertools.combinations(range(4), size)]
     assert np.all(bounds[4:] < per_point)
+
+
+# --- three-point solve --------------------------------------------------------
+
+
+def triangle_grid_oracle(reduced, objective, size=1201):
+    """Best eva over a size x size grid of (r_1, r_2), each in [0, u_i],
+    with r_3 as large as the polytope allows.  f(r) = r^2 e^(-2hr)
+    increases on [0, 1/h], so f(min(a, b)) = min(f(a), f(b)) and the
+    third term is an outer minimum; r_1 + r_2 <= R_12 keeps a prefix of
+    each row and masks the rest."""
+    R, h, r_max = reduced.entries, reduced.h, reduced.r_max
+    theta = objective.thetas(3)
+
+    def disc(k, r):
+        return math.pi * theta[k] * np.exp(-2.0 * h * r) * r * r
+
+    r_1 = np.linspace(0.0, min(r_max, R[0, 1], R[0, 2]), size)
+    r_2 = np.linspace(0.0, min(r_max, R[0, 1], R[1, 2]), size)
+    value = np.minimum.outer(disc(2, np.minimum(r_max, R[0, 2] - r_1)), disc(2, R[1, 2] - r_2))
+    value += disc(0, r_1)[:, None]
+    value += disc(1, r_2)
+    prefix = np.searchsorted(r_2, R[0, 1] - r_1, side="right")
+    value[np.arange(size) >= prefix[:, None]] = -np.inf
+    return float(np.max(value))
+
+
+def random_uncertified_triangles(rng, count):
+    """Reduced matrices with entries in [0.5, 1]/h, h in {0.3, 1, 3}, half
+    of them with a radius cap below the entries (so pair segments count),
+    and mixed densities."""
+    while count:
+        h = float(rng.choice([0.3, 1.0, 3.0]))
+        entries = np.zeros((3, 3))
+        entries[np.triu_indices(3, 1)] = rng.uniform(0.5, 1.0, size=3) / h
+        cap = float(rng.uniform(0.3, 0.6)) / h if rng.random() < 0.5 else math.inf
+        reduced = ReducedDistanceMatrix(entries + entries.T, h, cap)
+        if convexity_certified(reduced):
+            continue
+        count -= 1
+        yield reduced, EvaObjective(h, rng.choice(MIXED_THETAS, size=3))
+
+
+def test_three_point_solve_never_below_grid_or_ascent():
+    # The face search is certified to a relative 1e-13; the grid points
+    # and the ascent's radii are feasible, so neither may beat it by more.
+    faces = 0
+    for reduced, objective in random_uncertified_triangles(np.random.default_rng(61), 100):
+        res = maximize_eva(reduced, objective)
+        assert res.convexity_certified
+        poly = build_h_polytope(reduced)
+        faces += res.attaining_vertex is None
+        if res.attaining_vertex is None:
+            assert poly.contains(res.radii, tol=0.0)
+        oracle = triangle_grid_oracle(reduced, objective)
+        assert res.value >= oracle * (1.0 - 1e-13), (reduced.entries, oracle, res.value)
+        ascent, _ = _multistart_ascent(poly, objective, enumerate_vertices(poly).vertices)
+        assert res.value >= ascent * (1.0 - 1e-13)
+        # With no incumbent every searched face returns its best point.
+        value, radii = _triple_max(poly, reduced, objective, -math.inf)
+        if radii is not None:
+            assert poly.contains(radii, tol=0.0)
+            assert value == objective.value(radii) <= res.value * (1.0 + 1e-13)
+    assert faces >= 5  # the family reaches maxima off the vertices
+
+
+def test_three_point_worked_values():
+    # Equilateral at budget 1/h with unit densities: every pair row tight,
+    # every radius 1/(2h), the star's lo end and a vertex.
+    h = 3.0
+    reduced = ReducedDistanceMatrix((np.ones((3, 3)) - np.eye(3)) / h, h)
+    res = maximize_eva(reduced, EvaObjective(h, np.ones(3)))
+    assert res.convexity_certified
+    assert res.radii == pytest.approx(np.full(3, 0.5 / h), rel=1e-12)
+    assert res.value == pytest.approx(0.0963106, abs=1e-7)
+    assert res.value == pytest.approx(3.0 * math.pi * math.exp(-1.0) / (4.0 * h * h), rel=1e-12)
+
+
+def test_star_breaking_the_third_pair_row_never_wins():
+    # Centre 0 (face density) with R_01 = R_02 = 1/h: unconstrained, the
+    # star r = (x, 1 - x, 1 - x) peaks near x = 0.18, where r_1 + r_2 = 1.64
+    # breaks R_12 = 1.2.  The star must stop at x = (1 + 1 - 1.2)/2 = 0.4.
+    h = 1.0
+    reduced = ReducedDistanceMatrix(
+        np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.2], [1.0, 1.2, 0.0]]), h
+    )
+    objective = EvaObjective(h, np.array([THETA_FACE, THETA_VERTEX, THETA_VERTEX]))
+    x = np.linspace(0.0, 1.0, 10_001)
+    free = objective.values(np.stack([x, 1.0 - x, 1.0 - x], axis=-1))
+    assert x[np.argmax(free)] < 0.3
+    res = maximize_eva(reduced, objective)
+    poly = build_h_polytope(reduced)
+    assert poly.contains(res.radii, tol=0.0)
+    assert res.radii == pytest.approx([0.4, 0.6, 0.6], rel=1e-12)
+    assert res.value < float(np.max(free)) * (1.0 - 1e-2)
+    assert res.value >= triangle_grid_oracle(reduced, objective) * (1.0 - 1e-13)
+
+
+def test_three_point_pinned_zero_budget():
+    # d_12 = 0 pins two radii at zero: the region is the segment
+    # r_3 in [0, 3], no interior, and f increases up to 1/h = 3.33.
+    d = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 3.0], [3.0, 3.0, 0.0]])
+    res = maximize_eva(ReducedDistanceMatrix(d, 0.3))
+    assert res.convexity_certified
+    assert np.array_equal(res.radii, [0.0, 0.0, 3.0])
+    assert res.value == pytest.approx(EvaObjective(0.3).value([0.0, 0.0, 3.0]), rel=1e-12)
+
+
+def test_three_point_solve_never_runs_ascent(monkeypatch):
+    import foambounds.eva as eva_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("local ascent ran on a three-point polytope")
+
+    monkeypatch.setattr(eva_module, "_multistart_ascent", forbidden)
+    for reduced, objective in random_uncertified_triangles(np.random.default_rng(67), 20):
+        assert maximize_eva(reduced, objective).convexity_certified
+    # Far-apart points, as in the uncertified four-point instance.
+    points = PointSet(np.array([[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0], [0.0, 5.0, 0.0]]))
+    matrix = build_distance_matrix(points, Ball(np.zeros(3), 10.0))
+    assert maximize_eva(reduce_distance_matrix(matrix, 0.3)).convexity_certified
+    assert evA_exact_from_matrix(matrix, 0.3).value > 0.0
 
 
 # --- exact evA --------------------------------------------------------------
