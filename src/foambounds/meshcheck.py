@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,9 +40,23 @@ def pairwise_sum(values) -> float:
     return float(x[0])
 
 
-def _triangle_areas(tris: np.ndarray) -> np.ndarray:
-    cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+def _triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Half the norm of (B - A) x (C - A) for each triangle (A, B, C).
+
+    Each coordinate of the corners is gathered into one (3, n) array, and
+    the cross product and the sum of squares are written out on those in
+    the operation order of np.cross and np.linalg.norm(axis=1): the areas
+    are bit-identical to theirs, without their per-call overhead or the
+    strided (n, 3, 3) gather.
+    """
+    x, y, z = (c[triangles.T] for c in vertices.T)
+    a0, b0 = x[1] - x[0], x[2] - x[0]
+    a1, b1 = y[1] - y[0], y[2] - y[0]
+    a2, b2 = z[1] - z[0], z[2] - z[0]
+    c0 = a1 * b2 - a2 * b1
+    c1 = a2 * b0 - a0 * b2
+    c2 = a0 * b1 - a1 * b0
+    return 0.5 * np.sqrt((c0 * c0 + c1 * c1) + c2 * c2)
 
 
 @dataclass(eq=False)
@@ -83,7 +98,7 @@ class FoamMesh:
             if len(p) != len(t):
                 raise MeshInvariantError("need one patch label per triangle")
             self.patches = p
-        areas = _triangle_areas(v[t])
+        areas = _triangle_areas(v, t)
         floor = _DEGENERATE_AREA_RTOL * self.scale ** 2
         if np.any(areas <= floor):
             raise MeshInvariantError(
@@ -92,7 +107,8 @@ class FoamMesh:
             )
         nv = len(v)
         keys, counts = np.unique(self._edge_keys(), return_counts=True)
-        edges = np.stack([keys // nv, keys % nv], axis=1)
+        lo, hi = np.divmod(keys, nv)
+        edges = np.stack([lo, hi], axis=1)
         if np.any(counts > 3):
             e = edges[int(np.argmax(counts))]
             raise MeshInvariantError(
@@ -102,13 +118,13 @@ class FoamMesh:
         edges.flags.writeable = False
         counts.flags.writeable = False
         self._edge_counts = (edges, counts)
+        x, y, z = (c[hi] - c[lo] for c in v.T)
+        self._longest_edge = math.sqrt(float(np.max((x * x + y * y) + z * z)))
 
     @property
     def scale(self) -> float:
         """Bounding-box diagonal."""
-        return float(
-            np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0))
-        )
+        return float(np.linalg.norm([c.max() - c.min() for c in self.vertices.T]))
 
     def edge_use_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique undirected edges and how many triangles use each.
@@ -120,13 +136,20 @@ class FoamMesh:
         """
         return self._edge_counts
 
+    @property
+    def longest_edge(self) -> float:
+        """Length of the longest edge, measured once when the mesh is validated."""
+        return self._longest_edge
+
     def _edge_keys(self) -> np.ndarray:
         """int64 key of each triangle's edges (0-1, 1-2, 2-0), triangle-major."""
-        e = np.sort(self.triangles[:, [(0, 1), (1, 2), (2, 0)]].reshape(-1, 2), axis=1)
-        return e[:, 0].astype(np.int64) * len(self.vertices) + e[:, 1]
+        t = self.triangles.astype(np.int64, copy=False)
+        following = t[:, [1, 2, 0]]
+        lo = np.minimum(t, following).ravel()
+        return lo * len(self.vertices) + np.maximum(t, following).ravel()
 
     def total_area(self) -> float:
-        return pairwise_sum(_triangle_areas(self.vertices[self.triangles]))
+        return pairwise_sum(_triangle_areas(self.vertices, self.triangles))
 
 
 @dataclass(eq=False)
@@ -161,55 +184,94 @@ def load_mesh(path) -> FoamMesh:
         if "vertices" not in obj or "triangles" not in obj:
             raise MeshFormatError("mesh JSON needs 'vertices' and 'triangles'")
         return FoamMesh(
-            np.array(obj["vertices"], dtype=float),
-            np.array(obj["triangles"], dtype=int),
+            np.array(_json_rows(obj["vertices"], "vertex", integers=False), dtype=float),
+            np.array(_json_rows(obj["triangles"], "triangle", integers=True), dtype=int),
             np.array(obj["patches"]) if "patches" in obj else None,
         )
     return _load_off(path)
 
 
+def _json_rows(rows, what: str, integers: bool) -> list:
+    """A JSON mesh table, checked to be rows of JSON integers or numbers.
+
+    Types are matched exactly: a bool (an int subclass in Python) is no
+    number, a float such as 2.7 or 2.0 is no index, and a string is
+    neither.
+    """
+    if not isinstance(rows, list):
+        raise MeshFormatError(f"mesh JSON needs a list of {what} rows")
+    types, kind = ((int,), "integers") if integers else ((int, float), "numbers")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or any(type(x) not in types for x in row):
+            raise MeshFormatError(f"{what} {i} must be a list of JSON {kind}")
+    return rows
+
+
+_COMMENT = re.compile(r"#[^\n]*")
+
+
+class _BadLine(Exception):
+    """A rejected content line: (message, index among the content lines)."""
+
+
 def _load_off(path: Path) -> FoamMesh:
-    """Parse an OFF file; each block of numbers is one numpy text read.
+    r"""Parse an OFF file; each block of numbers is one numpy text read.
 
     Numbers follow numpy's text grammar: ASCII only, no ``_`` separators;
     integers are an optional sign and digits that fit in int64, floats are
-    decimal (inf and nan included).  Only when a block fails to parse are
-    its lines walked one by one, to name the first bad line.
+    decimal (inf and nan included).
+
+    The text is read once.  Comments go in one regex pass, and the content
+    lines (stripped, not blank) are collected without their line numbers.
+    Only when a line is rejected are the raw lines walked again, to name
+    its 1-based file line; only when a block fails to parse are its lines
+    walked one by one, to find the first bad one.  Lines are split on
+    "\n" alone: the text-mode read already maps "\r" and "\r\n", while
+    str.splitlines would also split on characters such as "\f" and "\x85"
+    that are whitespace inside a line.
     """
     with open(path, "r", encoding="utf-8") as f:
-        raw = f.read().split("\n")
-    linenos: list[int] = []
-    lines: list[str] = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if text:
-            linenos.append(lineno)
-            lines.append(text)
+        text = f.read()
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    lines = [s for line in text.split("\n") if (s := line.strip())]
+    try:
+        vertices, triangles = _parse_off(lines)
+    except _BadLine as bad:
+        message, index = bad.args
+        raise MeshFormatError(message, _file_line(text, index)) from None
+    return FoamMesh(vertices, triangles)
 
+
+def _file_line(text: str, index: int) -> int:
+    """1-based file line of content line `index` of comment-free text."""
+    return [k for k, line in enumerate(text.split("\n"), start=1) if line.strip()][index]
+
+
+def _parse_off(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and triangles of the content lines of an OFF file."""
     if not lines:
         raise MeshFormatError("file ended before the OFF header")
     if lines[0] != "OFF":
-        raise MeshFormatError(f"expected 'OFF' header, found {lines[0]!r}", linenos[0])
+        raise _BadLine(f"expected 'OFF' header, found {lines[0]!r}", 0)
     if len(lines) < 2:
         raise MeshFormatError("file ended before the counts line")
     if len(lines[1].split()) != 3:
-        raise MeshFormatError("counts line must be 'nv nf ne'", linenos[1])
+        raise _BadLine("counts line must be 'nv nf ne'", 1)
     counts = _parse_line(lines[1], int)
     if counts is None:
-        raise MeshFormatError("counts must be integers", linenos[1])
+        raise _BadLine("counts must be integers", 1)
     nv, nf = int(counts[0]), int(counts[1])
     if nv < 0 or nf < 0:
-        raise MeshFormatError("counts must be nonnegative", linenos[1])
+        raise _BadLine("counts must be nonnegative", 1)
 
-    first = 2
-    vertices = _vertex_block(lines[first:first + nv], linenos[first:first + nv])
+    vertices = _vertex_block(lines, 2, nv)
     if len(vertices) < nv:
         raise MeshFormatError(f"file ended before vertex {len(vertices)}")
-    first += nv
-    triangles = _face_block(lines[first:first + nf], linenos[first:first + nf])
+    triangles = _face_block(lines, 2 + nv, nf)
     if len(triangles) < nf:
         raise MeshFormatError(f"file ended before face {len(triangles)}")
-    return FoamMesh(vertices, triangles)
+    return vertices, triangles
 
 
 def _loadtxt(lines: list[str], dtype, **kwargs) -> np.ndarray:
@@ -235,54 +297,59 @@ def _parse_line(text: str, dtype) -> np.ndarray | None:
         return None
 
 
-def _vertex_block(lines: list[str], linenos: list[int]) -> np.ndarray:
-    """(n, 3) coordinates of the vertex lines."""
-    if not lines:
+def _vertex_block(lines: list[str], first: int, n: int) -> np.ndarray:
+    """(n, 3) coordinates of the n vertex lines from content line `first`."""
+    block = lines[first:first + n]
+    if not block:
         return np.zeros((0, 3))
     try:
-        table = _loadtxt(lines, float, ndmin=2)
+        table = _loadtxt(block, float, ndmin=2)
     except ValueError:
-        _raise_first_bad_vertex(lines, linenos)
+        _raise_first_bad_vertex(block, first)
         raise
     if table.shape[1] != 3:
-        _raise_first_bad_vertex(lines, linenos)
+        _raise_first_bad_vertex(block, first)
     return table
 
 
-def _raise_first_bad_vertex(lines: list[str], linenos: list[int]) -> None:
-    for lineno, text in zip(linenos, lines):
+def _raise_first_bad_vertex(block: list[str], first: int) -> None:
+    for index, text in enumerate(block, start=first):
         if len(text.split()) != 3:
-            raise MeshFormatError("vertex line needs 3 coordinates", lineno)
+            raise _BadLine("vertex line needs 3 coordinates", index)
         if _parse_line(text, float) is None:
-            raise MeshFormatError("vertex coordinates must be numbers", lineno)
+            raise _BadLine("vertex coordinates must be numbers", index)
 
 
-def _face_block(lines: list[str], linenos: list[int]) -> np.ndarray:
-    """(n, 3) vertex indices of the face lines; tokens after the fourth are ignored."""
-    if not lines:
+def _face_block(lines: list[str], first: int, n: int) -> np.ndarray:
+    """(n, 3) vertex indices of the n face lines from content line `first`.
+
+    Tokens after the fourth on a line are ignored.
+    """
+    block = lines[first:first + n]
+    if not block:
         return np.zeros((0, 3), dtype=int)
     try:
-        table = _loadtxt(lines, int, usecols=range(4), ndmin=2)
+        table = _loadtxt(block, int, usecols=range(4), ndmin=2)
     except ValueError:
-        _raise_first_bad_face(lines, linenos)
+        _raise_first_bad_face(block, first)
         raise
     if np.any(table[:, 0] != 3):
-        _raise_first_bad_face(lines, linenos)
+        _raise_first_bad_face(block, first)
     return np.ascontiguousarray(table[:, 1:])
 
 
-def _raise_first_bad_face(lines: list[str], linenos: list[int]) -> None:
-    for lineno, text in zip(linenos, lines):
+def _raise_first_bad_face(block: list[str], first: int) -> None:
+    for index, text in enumerate(block, start=first):
         parts = text.split()
         k = _parse_line(parts[0], int)
         if k is None:
-            raise MeshFormatError("face line must start with a vertex count", lineno)
+            raise _BadLine("face line must start with a vertex count", index)
         if k[0] != 3:
-            raise MeshFormatError(f"only triangular faces are supported, got {k[0]}", lineno)
+            raise _BadLine(f"only triangular faces are supported, got {k[0]}", index)
         if len(parts) < 4:
-            raise MeshFormatError("face line needs 3 vertex indices", lineno)
+            raise _BadLine("face line needs 3 vertex indices", index)
         if _parse_line(" ".join(parts[1:4]), int) is None:
-            raise MeshFormatError("face indices must be integers", lineno)
+            raise _BadLine("face indices must be integers", index)
 
 
 def save_off(mesh: FoamMesh, path) -> None:
@@ -305,6 +372,24 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", u, v)
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.cross over the last axis, in its operation order (so bit-identical)
+    without its axis handling."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), axis=-1)
+
+
+def _near_triangles(mesh: FoamMesh, probe: DiscProbe) -> np.ndarray:
+    """Mask of the triangles with a vertex within (R + 2L)(1 + 1e-9) of the
+    centre, L the longest edge: one norm per mesh vertex.  A superset of
+    the bounding-sphere test's rows; see _clipped_area_detail."""
+    reach = (probe.radius + 2.0 * mesh.longest_edge) * (1.0 + 1e-9)
+    near = np.linalg.norm(mesh.vertices - probe.center, axis=1) <= reach
+    t = mesh.triangles
+    return near[t[:, 0]] | near[t[:, 1]] | near[t[:, 2]]
+
+
 def _clipped_area_detail(
     mesh: FoamMesh, probe: DiscProbe, eps: float
 ) -> tuple[float, float]:
@@ -324,6 +409,18 @@ def _clipped_area_detail(
     on the edge really being outside there: with the centre on a vertex, A
     is a near-zero vector whose atan2 angle is arbitrary.
 
+    Only triangles near the ball are clipped.  With w_k a triangle's
+    corners relative to the centre, c their centroid and
+    s = max_k |w_k - c|, the bounding-sphere test keeps the triangle iff
+    |c| <= R + s.  It runs only on the triangles _near_triangles keeps,
+    those with a corner within (R + 2L)(1 + 1e-9) of the centre, L the
+    mesh's longest edge.  That is a superset: the centroid lies in the
+    triangle, so s <= L, and each corner of a kept triangle has
+    |w_k| <= |c| + s <= R + 2s <= R + 2L; the factor 1 + 1e-9 covers the
+    rounding of the norms, a few ulps of R + 2L.  So the test keeps the
+    same rows, in the same order, as on the whole mesh, and the value and
+    its bound are the same to the bit.
+
     The second value is a first-order bound on floating-point rounding.
     Shifting a vertex, the centre or a crossing point by s moves the area
     by at most (6 + 2 pi) R s, and changing rho^2 by s moves it by at most
@@ -337,7 +434,8 @@ def _clipped_area_detail(
     if not eps > 0:
         raise ValueError("area error budget eps must be positive")
     r = probe.radius
-    w = mesh.vertices[mesh.triangles] - probe.center
+    near = _near_triangles(mesh, probe)
+    w = mesh.vertices[mesh.triangles[near]] - probe.center
     # Triangles whose bounding sphere misses the ball contribute nothing.
     centroid = w.mean(axis=1)
     spread = np.linalg.norm(w - centroid[:, None], axis=2).max(axis=1)
@@ -346,7 +444,7 @@ def _clipped_area_detail(
         return 0.0, 0.0
     e1 = w[:, 1] - w[:, 0]
     e2 = w[:, 2] - w[:, 0]
-    cross = np.cross(e1, e2)
+    cross = _cross(e1, e2)
     twice_area = np.linalg.norm(cross, axis=1)
     n = cross / twice_area[:, None]
     delta = _dot(w[:, 0], n)
@@ -365,10 +463,10 @@ def _clipped_area_detail(
     p2 = a + t2[..., None] * d
 
     def sector(u, v, outside):
-        angle = np.arctan2(_dot(np.cross(u, v), n), _dot(u, v))
+        angle = np.arctan2(_dot(_cross(u, v), n), _dot(u, v))
         return np.where(outside, 0.5 * rho2[:, None] * angle, 0.0)
 
-    edge = sector(a, p1, t1 > 0.0) + 0.5 * _dot(np.cross(p1, p2), n) + sector(p2, b, t2 < 1.0)
+    edge = sector(a, p1, t1 > 0.0) + 0.5 * _dot(_cross(p1, p2), n) + sector(p2, b, t2 < 1.0)
     areas = np.where(np.abs(delta) < r, np.abs(edge.sum(axis=1)), 0.0)
     value = pairwise_sum(areas)
 

@@ -275,6 +275,20 @@ def test_mesh_angles_rejects_bad_angle_tol(tol, tmp_path, capsys):
     assert "--angle-tol" in captured.err
 
 
+def test_mesh_json_with_coercible_numbers_exits_2(tmp_path, capsys):
+    # A string coordinate, a float index and a bool index used to be
+    # coerced (to 0.0, 2 and 1) and the mesh accepted.
+    path = tmp_path / "mesh.json"
+    path.write_text(
+        '{"vertices": [[0,0,0],[1,0,0],[0,1,0],["0","0","1"]], '
+        '"triangles": [[0,1,2.7],[0,true,3]]}'
+    )
+    assert run(["mesh-angles", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vertex 3 must be a list of JSON numbers" in captured.err
+
+
 def test_reports_are_byte_identical(instance_path, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

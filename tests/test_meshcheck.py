@@ -1,6 +1,7 @@
 """Mesh loading, ball-clipped areas, and the numerical inequality checks."""
 
 import itertools
+import json
 import math
 import types
 import warnings
@@ -20,6 +21,7 @@ from foambounds import (
     save_off,
     verify_main_inequality,
 )
+from foambounds import meshcheck
 from foambounds.geometry import THETA_V_PI
 from foambounds.meshcheck import _clipped_area_detail, pairwise_sum
 from foambounds.meshes import (
@@ -34,6 +36,11 @@ from foambounds.meshes import (
 @pytest.fixture(scope="module")
 def unit_sphere() -> FoamMesh:
     return icosphere(4, 1.0)
+
+
+ALL_FIXTURES = (
+    lambda: icosphere(4, 1.0), cylinder_tube, triple_wedge, tetrahedral_cone, flat_sheet,
+)
 
 
 # --- loading and validation -------------------------------------------------
@@ -418,6 +425,60 @@ def test_off_roundtrip_bit_exact(tmp_path, make):
     assert loaded.triangles.tobytes() == mesh.triangles.tobytes()
 
 
+def _noisy_icosphere_off(faces=None) -> tuple[FoamMesh, str]:
+    """icosphere(4) as an OFF file with every kind of noise the reader skips:
+    a comment and a blank line before each content line, trailing comments,
+    CRLF endings, tab and form-feed separators, and colour tokens after
+    each face."""
+    mesh = icosphere(4, 1.0)
+    vertices = [f"{x:.17g}\t{y:.17g}\f{z:.17g}" for x, y, z in mesh.vertices.tolist()]
+    if faces is None:
+        faces = [f"3\t{i} {j}\f{k} 255 0 0" for i, j, k in mesh.triangles.tolist()]
+    return mesh, _off_with_noise(f"{len(vertices)} {len(faces)} 0", vertices, faces)
+
+
+def test_off_noise_at_scale_loads_bit_identically(tmp_path):
+    mesh, text = _noisy_icosphere_off()
+    clean, noisy = tmp_path / "clean.off", tmp_path / "noisy.off"
+    save_off(mesh, clean)
+    noisy.write_bytes(text.encode())
+    a, b = load_mesh(clean), load_mesh(noisy)
+    assert a.vertices.tobytes() == b.vertices.tobytes() == mesh.vertices.tobytes()
+    assert a.triangles.tobytes() == b.triangles.tobytes() == mesh.triangles.tobytes()
+
+
+def test_off_error_on_last_face_line_names_its_file_line(tmp_path):
+    mesh = icosphere(4, 1.0)
+    faces = [f"3 {i} {j} {k}" for i, j, k in mesh.triangles.tolist()]
+    faces[-1] = "3 0 1 x"
+    _, text = _noisy_icosphere_off(faces)
+    path = tmp_path / "bad.off"
+    path.write_bytes(text.encode())
+    # Content line k is file line 3k + 3; the last face is content line
+    # 1 + nv + nf.
+    line = 3 * (1 + len(mesh.vertices) + len(faces)) + 3
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(path)
+    assert str(info.value) == f"line {line}: face indices must be integers"
+    assert text.split("\r\n")[line - 1].startswith("3 0 1 x")
+
+
+def test_valid_off_never_walks_lines(tmp_path, monkeypatch):
+    # Line numbers and the one-by-one walks are for error messages only.
+    mesh, text = _noisy_icosphere_off()
+    clean, noisy = tmp_path / "clean.off", tmp_path / "noisy.off"
+    save_off(mesh, clean)
+    noisy.write_bytes(text.encode())
+
+    def forbidden(*args):
+        raise AssertionError("error-path helper called on a valid file")
+
+    for name in ("_file_line", "_raise_first_bad_vertex", "_raise_first_bad_face"):
+        monkeypatch.setattr(meshcheck, name, forbidden)
+    for path in (clean, noisy):
+        assert len(load_mesh(path).triangles) == 5120
+
+
 def test_save_off_matches_per_row_format(tmp_path):
     rng = np.random.default_rng(7)
     values = rng.standard_normal(21000) * 10.0 ** rng.integers(-300, 300, 21000)
@@ -476,19 +537,86 @@ def test_json_mesh_schema(tmp_path):
     assert mesh.patches is not None and mesh.patches[0] == "face-a"
 
 
+@pytest.mark.parametrize(
+    "vertices, triangles, message",
+    [
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2.7], [0, 1, 3]],
+         "triangle 0 must be a list of JSON integers"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2], [0, True, 3]],
+         "triangle 1 must be a list of JSON integers"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], ["0", "0", "1"]], [[0, 1, 2], [0, 1, 3]],
+         "vertex 3 must be a list of JSON numbers"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, False, 1]], [[0, 1, 2], [0, 1, 3]],
+         "vertex 3 must be a list of JSON numbers"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2.0]],
+         "triangle 0 must be a list of JSON integers"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], {"0": [0, 1, 2]},
+         "mesh JSON needs a list of triangle rows"),
+    ],
+)
+def test_json_mesh_rejects_coerced_numbers(tmp_path, vertices, triangles, message):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"vertices": vertices, "triangles": triangles}))
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(path)
+    assert str(info.value) == message
+
+
+def test_json_mesh_accepts_integer_coordinates(tmp_path):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"vertices": [[0, 0, 0], [1.5, 0, 0], [0, 1, -0.0]],
+                                "triangles": [[0, 1, 2]]}))
+    mesh = load_mesh(path)
+    assert mesh.vertices.dtype == float and mesh.triangles.tolist() == [[0, 1, 2]]
+
+
 def test_plateau_border_edges_accepted():
     wedge = triple_wedge(1.0)
     _, counts = wedge.edge_use_counts()
     assert counts.max() == 3  # the axis is a legal triple edge
 
 
-def test_edge_keys_match_row_unique(unit_sphere):
-    for mesh in (unit_sphere, triple_wedge(1.0)):
+def test_edge_keys_match_row_unique():
+    for mesh in (make() for make in ALL_FIXTURES):
         pairs = np.sort(mesh.triangles[:, [(0, 1), (1, 2), (2, 0)]].reshape(-1, 2), axis=1)
+        assert np.array_equal(mesh._edge_keys(), pairs[:, 0] * len(mesh.vertices) + pairs[:, 1])
         want_edges, want_counts = np.unique(pairs, axis=0, return_counts=True)
         edges, counts = mesh.edge_use_counts()
         assert np.array_equal(edges, want_edges)
         assert np.array_equal(counts, want_counts)
+
+
+@pytest.mark.parametrize("make", ALL_FIXTURES)
+def test_validation_matches_the_library_formulas(make):
+    # The hand-written areas and bounding box agree bit for bit with
+    # np.cross + np.linalg.norm and an axis-0 max/min.
+    mesh = make()
+    v, t = mesh.vertices, mesh.triangles
+    tris = v[t]
+    cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    want = 0.5 * np.linalg.norm(cross, axis=1)
+    assert meshcheck._triangle_areas(v, t).tobytes() == want.tobytes()
+    assert mesh.scale == float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
+    lengths = np.linalg.norm(tris - tris[:, [1, 2, 0]], axis=2)
+    assert mesh.longest_edge == pytest.approx(lengths.max(), rel=1e-15)
+
+
+def test_written_out_cross_products_are_bit_identical():
+    rng = np.random.default_rng(12)
+    for exponent in range(-75, 76, 5):
+        v = rng.standard_normal((60, 3)) * 10.0 ** exponent
+        t = np.array([rng.choice(60, 3, replace=False) for _ in range(80)])
+        tris = v[t]
+        cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        want = 0.5 * np.linalg.norm(cross, axis=1)
+        assert meshcheck._triangle_areas(v, t).tobytes() == want.tobytes()
+        for u, w in ((tris[:, 0], tris[:, 1]), (tris, tris[:, [1, 2, 0]])):
+            assert meshcheck._cross(u, w).tobytes() == np.cross(u, w).tobytes()
+
+
+def test_longest_edge_is_read_only(unit_sphere):
+    with pytest.raises(AttributeError):
+        unit_sphere.longest_edge = 1.0
 
 
 # --- clipped area -----------------------------------------------------------
@@ -666,6 +794,72 @@ def test_ball_containing_whole_mesh(unit_sphere):
     for mesh in (unit_sphere, triple_wedge(2.5), tetrahedral_cone(2.5)):
         area = clipped_area(mesh, DiscProbe([0.1, 0.0, -0.1], 10.0), eps=1e-3)
         assert area == pytest.approx(mesh.total_area(), abs=1e-12)
+
+
+def _bounding_spheres(mesh, centre) -> tuple[np.ndarray, np.ndarray]:
+    """|c| and s of every triangle, c its centroid relative to the centre and
+    s its largest corner distance from c: the clip's bounding-sphere test,
+    keep iff |c| <= R + s, run on the whole mesh as its former filter did.
+    The oracle of the vertex prefilter."""
+    w = mesh.vertices[mesh.triangles] - centre
+    centroid = w.mean(axis=1)
+    spread = np.linalg.norm(w - centroid[:, None], axis=2).max(axis=1)
+    return np.linalg.norm(centroid, axis=1), spread
+
+
+def _prefilter_cases():
+    """(mesh, centre, radii) at 50 random centres, on a vertex and on an
+    edge midpoint, plus a ball that misses each mesh and one that holds it."""
+    rng = np.random.default_rng(21)
+    for mesh in (icosphere(4, 1.0), cylinder_tube()):
+        v, t = mesh.vertices, mesh.triangles
+        lo, hi = v.min(axis=0) - 0.5, v.max(axis=0) + 0.5
+        centres = [rng.uniform(lo, hi) for _ in range(50)]
+        centres += [v[17], 0.5 * (v[t[5, 0]] + v[t[5, 1]])]
+        for centre in centres:
+            yield mesh, centre, (1e-3, 0.3, 0.6, 3.0)
+        yield mesh, hi + 1.0, (0.5,)
+        yield mesh, 0.5 * (lo + hi), (10.0,)
+
+
+def test_clip_prefilter_matches_the_bounding_sphere_test(monkeypatch):
+    everything = lambda mesh, probe: np.ones(len(mesh.triangles), dtype=bool)  # noqa: E731
+    seen = []
+    for mesh, centre, radii in _prefilter_cases():
+        dist, spread = _bounding_spheres(mesh, centre)
+        for radius in radii:
+            probe = DiscProbe(centre, radius)
+            near = meshcheck._near_triangles(mesh, probe)
+            rows = np.flatnonzero(dist <= radius + spread)
+            assert near[rows].all()
+            seen.append("all" if near.all() else "some" if len(rows) else "none")
+            if near.all():
+                continue  # the prefilter drops nothing: both runs are one computation
+            fast = _clipped_area_detail(mesh, probe, 1e-3)
+            with monkeypatch.context() as patch:
+                patch.setattr(meshcheck, "_near_triangles", everything)
+                full = _clipped_area_detail(mesh, probe, 1e-3)
+            assert [x.hex() for x in fast] == [float(x).hex() for x in full], (radius, centre)
+    assert len(seen) == 2 * (52 * 4 + 2)
+    assert set(seen) == {"all", "some", "none"}
+
+
+@pytest.mark.parametrize("make", [lambda: icosphere(4, 1.0), cylinder_tube])
+def test_clip_closed_form_runs_on_the_bounding_sphere_rows(make, monkeypatch):
+    # Deterministic cost guard: the prefilter gathers a small part of the
+    # mesh, and the closed form runs on exactly the bounding-sphere rows.
+    mesh = make()
+    summed = []
+    monkeypatch.setattr(meshcheck, "pairwise_sum", lambda x: summed.append(len(x)) or 1.0)
+    for vertex in (0, 100, 1000):
+        probe = DiscProbe(mesh.vertices[vertex], 0.3)
+        summed.clear()
+        _clipped_area_detail(mesh, probe, 1e-3)
+        dist, spread = _bounding_spheres(mesh, probe.center)
+        rows = int(np.count_nonzero(dist <= probe.radius + spread))
+        assert summed == [rows, rows]
+        gathered = int(np.count_nonzero(meshcheck._near_triangles(mesh, probe)))
+        assert rows <= gathered <= len(mesh.triangles) // 8
 
 
 def test_clipped_area_validates_eps(unit_sphere):
