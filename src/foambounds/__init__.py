@@ -75,7 +75,6 @@ from .meshcheck import (
 )
 from .polytope import (
     HPolytope,
-    VertexSet,
     build_h_polytope,
     enumerate_vertices,
     interior_point,

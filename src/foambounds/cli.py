@@ -52,7 +52,7 @@ from .meshcheck import (
     plateau_angle_check,
     verify_main_inequality,
 )
-from .polytope import build_h_polytope, enumerate_vertices
+from .polytope import DEDUP_TOL, build_h_polytope, enumerate_vertices
 
 _EVA_FORMULA = "max over admissible radii of sum_i pi*theta_i*exp(-2*h*r_i)*r_i^2"
 
@@ -115,8 +115,8 @@ def cmd_eva(args) -> dict:
     result = maximize_eva(reduced, EvaObjective(h, weights))
     if args.dump_polytope:
         poly = build_h_polytope(reduced)
-        verts = enumerate_vertices(poly)
-        _emit({"polytope": poly.to_json(), "vertices": verts.to_json()}, args.dump_polytope)
+        verts = {"vertices": enumerate_vertices(poly).tolist(), "dedup_tol": DEDUP_TOL}
+        _emit({"polytope": poly.to_json(), "vertices": verts}, args.dump_polytope)
     return {
         **_eva_report(args, h, matrix, result, _EVA_FORMULA),
         "eva": result.value,

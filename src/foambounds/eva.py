@@ -31,7 +31,6 @@ from .polytope import (
     HPolytope,
     build_h_polytope,
     enumerate_vertices,
-    feasibility_tol_for,
     interior_point,
 )
 
@@ -206,8 +205,9 @@ def maximize_eva(
     better, and the result is certified.  For four or more points the
     vertex scan is augmented with deterministic multi-start local ascent,
     seeded from the vertices, and the better of the two is returned.
-    Either way the value is attained by feasible radii, hence a valid
-    area bound.
+    Candidates off the vertices are pulled inside (HPolytope.pull_inside)
+    before they are scored, so the radii meet M r <= b in floats: the
+    value is attained by feasible radii, hence a valid area bound.
     """
     if objective is None:
         objective = EvaObjective(reduced.h)
@@ -218,17 +218,19 @@ def maximize_eva(
     certified = convexity_certified(reduced)
     poly = build_h_polytope(reduced)
     verts = enumerate_vertices(poly, maximal=certified)
-    values = objective.values(verts.vertices)
+    values = objective.values(verts)
     best = int(np.argmax(values))  # first max in lex order: smallest radii win ties
     best_value = float(values[best])
-    best_radii = verts.vertices[best].copy()
+    best_radii = verts[best].copy()
     attaining: int | None = best
     if reduced.n == 2 and not certified:
         budget = reduced.entries[0, 1]
         cap = min(budget, reduced.r_max)  # a periodic cap can be the smaller
-        value, r_1, r_2 = _pair_max(*objective.thetas(2), reduced.h, budget, cap, cap)
-        if value[0] > best_value:
-            best_value, best_radii, attaining = value[0], np.array([r_1[0], r_2[0]]), None
+        _, r_1, r_2 = _pair_max(*objective.thetas(2), reduced.h, budget, cap, cap)
+        radii = poly.pull_inside([r_1[0], r_2[0]])
+        value = objective.value(radii)
+        if value > best_value:
+            best_value, best_radii, attaining = value, radii, None
         certified = True
     elif reduced.n == 3 and not certified:
         value, radii = _triple_max(poly, reduced, objective, best_value)
@@ -237,7 +239,7 @@ def maximize_eva(
         certified = True
     elif not certified:
         try:
-            asc_value, asc_radii = _multistart_ascent(poly, objective, verts.vertices)
+            asc_value, asc_radii = _multistart_ascent(poly, objective, verts)
         except DegeneratePolytopeError:
             # Lower-dimensional region: no interior to start the ascent
             # from; the vertex scan result stands (still a valid bound).
@@ -355,14 +357,13 @@ def _triple_max(
           with lo = max(0, R_ca - r_max, R_cb - r_max,
           (R_ca + R_cb - R_ab)/2) and hi = min(r_max, R_ca, R_cb); all
           three rows tight is the lo end.  _segment_max searches them.
-    u_i is the smallest budget of radius i.  A candidate counts only if
-    M r <= b holds with no tolerance; rounding can put one an ulp
-    outside a row, so a failing candidate is shrunk by 16 eps once (a
-    relative loss below 4e-15) and dropped if it still fails.
+    u_i is the smallest budget of radius i.  Rounding can put a candidate
+    an ulp outside a row, so each is pulled inside (HPolytope.pull_inside)
+    before it is scored.
 
-    Returns the value and radii of the best feasible candidate, or
-    (-inf, None) when there is none: no face point beats best by more
-    than _FACE_RTOL, relative.
+    Returns the value and radii of the best candidate, or (-inf, None)
+    when there is none: no face point beats best by more than _FACE_RTOL,
+    relative.
     """
     h, r_max, R = reduced.h, reduced.r_max, reduced.entries
     theta = objective.thetas(3)
@@ -391,16 +392,12 @@ def _triple_max(
     )
     if point is not None:
         found.append(point)
-    value, radii = -math.inf, None
-    for r in found:
-        if not poly.contains(r, tol=0.0):
-            r = r * (1.0 - 16.0 * np.finfo(float).eps)
-        if not poly.contains(r, tol=0.0):
-            continue
-        v = objective.value(r)
-        if v > value:
-            value, radii = v, r
-    return value, radii
+    if not found:
+        return -math.inf, None
+    found = poly.pull_inside(np.array(found))
+    values = objective.values(found)
+    k = int(np.argmax(values))
+    return float(values[k]), found[k]
 
 
 def _segment_max(
@@ -502,7 +499,7 @@ def _multistart_ascent(
             constraints=constraints,
             options={"maxiter": 200, "ftol": 1e-12},
         )
-        point = _pull_feasible(poly, x0, np.maximum(res.x, 0.0))
+        point = poly.pull_inside(_pull_feasible(poly, x0, np.maximum(res.x, 0.0)))
         value = objective.value(point)
         if value > best_value:
             best_value, best_point = value, point
@@ -511,7 +508,7 @@ def _multistart_ascent(
 
 def _pull_feasible(poly: HPolytope, anchor: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Shrink a point toward a strictly feasible anchor until feasible."""
-    if poly.contains(point, tol=0.0):
+    if poly.contains(point):
         return point
     direction = poly.M @ (point - anchor)
     slack = poly.b - poly.M @ anchor
@@ -549,9 +546,9 @@ def evA_exact_from_matrix(
     Subsets are solved in order of decreasing bound, and the search stops
     at the first subset whose bound is below the best value found by
     more than a 1e-12 relative rounding margin; all later subsets have
-    smaller bounds.  The bounds allow for the vertex enumerator's
-    feasibility tolerance, so radii that meet the constraints only to
-    within it stay under them (see _subset_upper_bounds).
+    smaller bounds.  maximize_eva's radii meet their rows in floats, so
+    r_j >= 0 and fl(r_i + r_j) <= R_ij give r_i <= R_ij by monotone
+    rounding: u_i(S) bounds each radius exactly.
 
     Pruning changes no result: ties are broken toward the smallest
     subset, then lexicographically, exactly as a scan of every subset in
@@ -607,7 +604,8 @@ def _subset_upper_bounds(
     +inf for a subset holding a point with an infinite budget (no
     boundary and h = 0); solving that singleton raises the unbounded
     instance error, as the full scan would.  Only singletons can have an
-    infinite budget, so the pair terms never meet one.
+    infinite budget, so the pair terms never meet one.  Every budget is
+    at most r_max <= 1/h, where f still increases and _pair_max applies.
     """
     n = matrix.n
     h, r_max = reduced.h, reduced.r_max
@@ -620,20 +618,8 @@ def _subset_upper_bounds(
     budgets = np.where(members.sum(axis=1)[:, None] == 1, single, budgets)
     # A radius cap below 1/h (periodic domains) bounds every radius too.
     budgets = np.minimum(budgets, r_max)
-    # A vertex meets r_i + r_j <= R_ij and r_j >= 0 only to within the
-    # enumerator's per-row feasibility tolerance, so r_i can exceed u_i by
-    # twice that.  Each row's tolerance is FEASIBILITY_TOL times a budget
-    # of the subset polytope plus ROUNDING_TOL times its largest budget,
-    # hence at most t = feasibility_tol_for(its largest right-hand side),
-    # which is among these values; widening by
-    # 2t keeps the bound sound.  f increases up to 1/h, not just up to a
-    # smaller radius cap, so the widened radii are clipped at 1/h.
-    rhs = np.concatenate([reduced.entries.ravel(), single, [r_max]])
-    widen = 2.0 * feasibility_tol_for(np.max(rhs[np.isfinite(rhs)]))
     unbounded = np.any(members & np.isinf(budgets), axis=1)
-    top = math.inf if h == 0.0 else 1.0 / h
-    wide = np.where(members & ~unbounded[:, None], np.minimum(budgets + widen, top), 0.0)
-    terms = objective.terms(wide)
+    terms = objective.terms(np.where(members & ~unbounded[:, None], budgets, 0.0))
     bounds = terms.sum(axis=1)
 
     # Pair rows: one entry per (subset, pair inside it), |S| >= 2 only.
@@ -642,17 +628,7 @@ def _subset_upper_bounds(
     i, j = iu[p], ju[p]
     theta = objective.thetas(n)
     budget = reduced.entries[i, j]
-    pair_max, _, _ = _pair_max(
-        theta[i], theta[j], h, budget, budgets[k, i], budgets[k, j]
-    )
-    # Widened radii lie within 2 * widen (1-norm) of the exact pair
-    # region, inside [-widen, budget + widen], where
-    # |f'(r)| <= 2 |r| (1 + h |r|) e^(2 h max(0, -r)); that Lipschitz
-    # slack keeps the pair term an upper bound without pushing its budget
-    # past 1/h, where _pair_max does not apply.
-    reach = budget + widen
-    slope = 2.0 * reach * (1.0 + h * reach) * math.exp(2.0 * h * widen)
-    pair_max = pair_max + 2.0 * widen * math.pi * np.maximum(theta[i], theta[j]) * slope
+    pair_max, _, _ = _pair_max(theta[i], theta[j], h, budget, budgets[k, i], budgets[k, j])
     gain = np.zeros(len(subsets))
     np.minimum.at(gain, k, pair_max - terms[k, i] - terms[k, j])
     bounds = bounds + gain

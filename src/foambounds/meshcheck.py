@@ -184,19 +184,20 @@ def load_mesh(path) -> FoamMesh:
         if "vertices" not in obj or "triangles" not in obj:
             raise MeshFormatError("mesh JSON needs 'vertices' and 'triangles'")
         return FoamMesh(
-            np.array(_json_rows(obj["vertices"], "vertex", integers=False), dtype=float),
-            np.array(_json_rows(obj["triangles"], "triangle", integers=True), dtype=int),
+            _json_table(obj["vertices"], "vertex", integers=False),
+            _json_table(obj["triangles"], "triangle", integers=True),
             np.array(obj["patches"]) if "patches" in obj else None,
         )
     return _load_off(path)
 
 
-def _json_rows(rows, what: str, integers: bool) -> list:
-    """A JSON mesh table, checked to be rows of JSON integers or numbers.
+def _json_table(rows, what: str, integers: bool) -> np.ndarray:
+    """A JSON mesh table as an array of rows of JSON integers or numbers.
 
     Types are matched exactly: a bool (an int subclass in Python) is no
     number, a float such as 2.7 or 2.0 is no index, and a string is
-    neither.
+    neither.  An index beyond int64 or a coordinate beyond the float
+    range is rejected too, naming its row.
     """
     if not isinstance(rows, list):
         raise MeshFormatError(f"mesh JSON needs a list of {what} rows")
@@ -204,7 +205,16 @@ def _json_rows(rows, what: str, integers: bool) -> list:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or any(type(x) not in types for x in row):
             raise MeshFormatError(f"{what} {i} must be a list of JSON {kind}")
-    return rows
+    dtype, limit = (np.int64, "int64") if integers else (float, "the float range")
+    try:
+        return np.array(rows, dtype=dtype)
+    except OverflowError:
+        for i, row in enumerate(rows):
+            try:
+                np.array(row, dtype=dtype)
+            except OverflowError:
+                raise MeshFormatError(f"{what} {i} holds a number beyond {limit}") from None
+        raise
 
 
 _COMMENT = re.compile(r"#[^\n]*")

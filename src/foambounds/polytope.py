@@ -33,6 +33,14 @@ together than the domain size, make some u_i small while other budgets
 stay near the domain size; in the budget frame neither is a special
 case.
 
+Exact feasibility.  Those tolerances only pick the vertices.  Each one
+is then pulled inside: every row it breaks in floats scales that row's
+coordinates by b / (M r), and by at least one ulp, until none fails.
+Lowering a coordinate keeps every other row (only nonneg rows hold a -1
+entry), so each vertex returned meets M r <= b with no tolerance.  For
+r >= 0, D's rows imply P's and pinned coordinates are exact zeros, so
+pulling in the system enumerated pulls in P.
+
 Maximal vertices.  An objective that strictly increases in every radius
 (eva in its certified regime) peaks at a vertex that no other point of
 P dominates coordinate-wise.  Those maximal vertices are exactly the
@@ -87,12 +95,6 @@ FEASIBILITY_TOL = 1e-9
 DEDUP_TOL = 1e-7
 # Rounding allowance on every row, relative to the largest budget.
 ROUNDING_TOL = 4.0 * np.finfo(float).eps
-
-
-def feasibility_tol_for(b_max: float) -> float:
-    """Absolute feasibility tolerance for a system whose largest |b| is b_max:
-    at least every per-row tolerance of enumerate_vertices."""
-    return FEASIBILITY_TOL * max(1.0, float(b_max)) + ROUNDING_TOL * float(b_max)
 
 
 # Row-subset count above which enumerate_vertices takes the dual-transform
@@ -157,10 +159,15 @@ class HPolytope:
             tags.append((kind, *cols))
         return tuple(tags)
 
-    def contains(self, r, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = feasibility_tol_for(np.max(np.abs(self.b)))
-        return bool(np.all(self.M @ np.asarray(r, dtype=float) <= self.b + tol))
+    def contains(self, r) -> bool:
+        """M r <= b in floats, with no tolerance."""
+        return bool(np.all(self.M @ np.asarray(r, dtype=float) <= self.b))
+
+    def pull_inside(self, radii) -> np.ndarray:
+        """A copy of radii (a vector or one per row), clamped at 0 and
+        lowered until contained; a vector already inside is unchanged."""
+        r = np.asarray(radii, dtype=float)
+        return _pull_inside(self.M, self.b, np.atleast_2d(np.where(r > 0.0, r, 0.0))).reshape(r.shape)
 
     def to_json(self) -> dict:
         return {
@@ -168,22 +175,6 @@ class HPolytope:
             "b": self.b.tolist(),
             "row_tags": [list(t) for t in self.row_tags],
         }
-
-
-@dataclass(eq=False)
-class VertexSet:
-    """Extreme points of an HPolytope, lexicographically sorted."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def to_json(self) -> dict:
-        return {"vertices": self.vertices.tolist(), "dedup_tol": DEDUP_TOL}
 
 
 def build_h_polytope(reduced: ReducedDistanceMatrix) -> HPolytope:
@@ -230,8 +221,9 @@ def interior_point(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x0
 
 
-def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> VertexSet:
-    """All extreme points of the polytope, deduplicated and lex-sorted.
+def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> np.ndarray:
+    """All extreme points of the polytope, deduplicated and lex-sorted,
+    as a (k, n) array of rows that meet M r <= b with no tolerance.
 
     Args:
         poly: the inequality system; HPolytope has checked its shape.
@@ -250,10 +242,10 @@ def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> VertexSet:
     small, the dual transform beyond; if its hull computation fails, the
     scan takes over and the fallback is logged at debug level with its
     cause.  If every coordinate is pinned, the scan's one empty subset
-    gives the origin.  The pinned zeros are put back, and every
-    tolerance is measured in the budget frame.  Each call logs its
-    route, maximal flag, pinned count, the n and m of the system
-    enumerated, and the vertex count at debug level on foambounds.polytope.
+    gives the origin.  The vertices are pulled inside and the pinned
+    zeros put back before the dedup.  Each call logs its route, maximal
+    flag, pinned count, the n and m of the system enumerated, and the
+    vertex count at debug level on foambounds.polytope.
     """
     # With r >= 0 on every coordinate, a +1 row with b = 0 pins each of
     # its coordinates: exactly those whose smallest +1 budget is 0.
@@ -268,8 +260,7 @@ def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> VertexSet:
         b = np.concatenate([b[pairs], u_free])
     m, n = M.shape
     # Row k's tolerance is measured against the largest budget of its
-    # coordinates, plus the rounding allowance, so it never exceeds
-    # feasibility_tol_for(max b).
+    # coordinates, plus the rounding allowance.
     feas_tol = FEASIBILITY_TOL * np.max(np.where(M != 0.0, u_free, 0.0), axis=1, initial=0.0)
     feas_tol += ROUNDING_TOL * np.max(b, initial=0.0)
     route = "combinatorial"
@@ -289,19 +280,37 @@ def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> VertexSet:
             free = _combinatorial_vertices(M, b, feas_tol)
     if len(free) == 0:
         raise NumericalError("vertex enumeration produced no feasible points")
-    verts = np.zeros((len(free), poly.n))
-    verts[:, ~pinned] = free
-    # Pinned coordinates are exact zeros; a unit frame leaves them so.
     # Every vertex of P and of D is nonnegative, so a rounding error below
     # zero is snapped too: D has no nonneg row to filter it out.
-    frame = np.where(pinned, 1.0, u)
-    verts[verts <= FEASIBILITY_TOL * frame] = 0.0
-    out = VertexSet(_dedup_lex(verts, DEDUP_TOL, frame))
+    free[free <= FEASIBILITY_TOL * u_free] = 0.0
+    verts = np.zeros((len(free), poly.n))
+    verts[:, ~pinned] = _pull_inside(M, b, free)
+    # Pinned coordinates are exact zeros; a unit frame leaves them so.
+    verts = _dedup_lex(verts, DEDUP_TOL, np.where(pinned, 1.0, u))
     _log.debug(
         "enumerate_vertices: route=%s maximal=%s pinned=%d n=%d m=%d vertices=%d",
-        route, maximal, np.count_nonzero(pinned), n, m, len(out),
+        route, maximal, np.count_nonzero(pinned), n, m, len(verts),
     )
-    return out
+    return verts
+
+
+def _pull_inside(M: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Lower the rows of r (k, n), nonnegative, in place until r M^T <= b.
+
+    Each coordinate of a failing row drops by the smallest ratio b / load
+    over its failing rows, and by at least one ulp (module docstring).
+    """
+    load = r @ M.T
+    over = load > b
+    while over.any():
+        v, k = np.divmod(np.flatnonzero(over), len(b))
+        i, c = np.nonzero(M[k] == 1.0)
+        v, k = v[i], k[i]
+        x = r[v, c]
+        np.minimum.at(r, (v, c), np.minimum(x * (b[k] / load[v, k]), np.nextafter(x, 0.0)))
+        load = r @ M.T
+        over = load > b
+    return r
 
 
 def _smallest_budgets(M: np.ndarray, b: np.ndarray) -> np.ndarray:

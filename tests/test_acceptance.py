@@ -85,7 +85,7 @@ def test_criterion_2_vertex_enumeration_oracle():
                 reduce_distance_matrix(build_distance_matrix(points, domain), h)
             )
             expected = brute_force_vertices(poly.M, poly.b)
-            got = enumerate_vertices(poly).vertices
+            got = enumerate_vertices(poly)
             scale = max(1.0, float(np.max(np.abs(poly.b))))
             assert same_vertex_sets(got, expected, 1e-7 * scale), trial
 

@@ -289,6 +289,27 @@ def test_mesh_json_with_coercible_numbers_exits_2(tmp_path, capsys):
     assert "vertex 3 must be a list of JSON numbers" in captured.err
 
 
+@pytest.mark.parametrize(
+    "vertices, triangles, message",
+    [
+        ("[0,0,0],[1,0,0],[0,1,0]", "[0,1,2],[0,1,99999999999999999999999]",
+         "triangle 1 holds a number beyond int64"),
+        ("[0,0,0],[1,0,0],[0,1,0]", "[0,1,-9223372036854775809]",
+         "triangle 0 holds a number beyond int64"),
+        (f"[0,0,0],[1,0,0],[0,1,{'9' * 400}]", "[0,1,2]",
+         "vertex 2 holds a number beyond the float range"),
+    ],
+)
+def test_mesh_json_number_out_of_range_exits_2(tmp_path, capsys, vertices, triangles, message):
+    # numpy's OverflowError used to escape as a traceback.
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"vertices": [{vertices}], "triangles": [{triangles}]}}')
+    assert run(["mesh-angles", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_reports_are_byte_identical(instance_path, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -36,6 +36,7 @@ from foambounds import (
 )
 from foambounds.eva import (
     CONVEXITY_COEFF,
+    _PRUNE_RTOL,
     _multistart_ascent,
     _pair_max,
     _subset_upper_bounds,
@@ -155,7 +156,7 @@ def test_certified_vertex_never_beaten_by_sampling():
         if not res.convexity_certified:
             continue
         poly = build_h_polytope(reduced)
-        verts = enumerate_vertices(poly).vertices
+        verts = enumerate_vertices(poly)
         hi = np.max(verts, axis=0)
         obj = EvaObjective(h)
         mixed = EvaObjective(h, weight_rng.choice(MIXED_THETAS, size=n))
@@ -196,7 +197,7 @@ def test_certified_vertex_never_beaten_by_ascent_mixed_weights():
         res = maximize_eva(reduced, objective)
         assert res.convexity_certified and res.attaining_vertex is not None
         poly = build_h_polytope(reduced)
-        ascent, _ = _multistart_ascent(poly, objective, enumerate_vertices(poly).vertices)
+        ascent, _ = _multistart_ascent(poly, objective, enumerate_vertices(poly))
         assert ascent <= res.value * (1.0 + 2e-16)
         checked += 1
 
@@ -217,7 +218,7 @@ def test_uncertified_instance_uses_ascent_and_stays_feasible():
     poly = build_h_polytope(reduced)
     assert poly.contains(res.radii)
     # Never below the best vertex.
-    verts = enumerate_vertices(poly).vertices
+    verts = enumerate_vertices(poly)
     obj = EvaObjective(h)
     vertex_best = max(obj.value(v) for v in verts)
     assert res.value >= vertex_best - 1e-12 * vertex_best
@@ -234,11 +235,11 @@ def test_ascent_beats_every_vertex():
     objective = EvaObjective(h, np.array([THETA_VERTEX, 1.0, 1.0]))
     res = maximize_eva(reduced, objective)
     poly = build_h_polytope(reduced)
-    vertex_best = float(np.max(objective.values(enumerate_vertices(poly).vertices)))
+    vertex_best = float(np.max(objective.values(enumerate_vertices(poly))))
     assert res.attaining_vertex is None and res.convexity_certified
     assert res.value == pytest.approx(0.0933346, abs=1e-7)  # vertex: 0.092842
     assert res.value > vertex_best * (1.0 + 1e-3)
-    assert poly.contains(res.radii, tol=0.0)
+    assert poly.contains(res.radii)
 
     entries = np.zeros((4, 4))
     entries[np.triu_indices(4, 1)] = [0.903, 0.799, 0.812, 0.914, 0.766, 0.894]
@@ -246,10 +247,10 @@ def test_ascent_beats_every_vertex():
     objective = EvaObjective(h, np.ones(4))
     res = maximize_eva(reduced, objective)
     poly = build_h_polytope(reduced)
-    vertex_best = float(np.max(objective.values(enumerate_vertices(poly).vertices)))
+    vertex_best = float(np.max(objective.values(enumerate_vertices(poly))))
     assert res.attaining_vertex is None and not res.convexity_certified
     assert res.value > vertex_best * (1.0 + 1e-3)  # 0.097722 against 0.097199
-    assert poly.contains(res.radii, tol=0.0)
+    assert poly.contains(res.radii)
 
 
 def test_degenerate_polytope_falls_back_to_vertex_scan():
@@ -277,7 +278,7 @@ def test_enumerate_dual_falls_back_on_degenerate(vertex_route):
     d = np.array([[0.0, 0.0], [0.0, 0.0]])
     poly = build_h_polytope(ReducedDistanceMatrix(d, 0.0))
     vertex_route("dual")
-    verts = enumerate_vertices(poly).vertices
+    verts = enumerate_vertices(poly)
     assert verts.shape == (1, 2)
     assert verts[0] == pytest.approx([0.0, 0.0])
 
@@ -304,10 +305,10 @@ def test_certified_scan_matches_full_vertex_scan():
                 res = maximize_eva(reduced, objective)
                 assert res.convexity_certified and res.attaining_vertex is not None
                 poly = build_h_polytope(reduced)
-                best = float(np.max(objective.values(enumerate_vertices(poly).vertices)))
+                best = float(np.max(objective.values(enumerate_vertices(poly))))
                 assert res.value == pytest.approx(best, rel=1e-12), (n, h, t)
                 # attaining_vertex indexes the maximal vertices, the list scanned.
-                scanned = enumerate_vertices(poly, maximal=True).vertices
+                scanned = enumerate_vertices(poly, maximal=True)
                 assert np.array_equal(scanned[res.attaining_vertex], res.radii)
                 checked += 1
     assert checked == 7 * 3 * 3
@@ -322,7 +323,7 @@ def test_certified_nine_points_scan_is_fast():
         res = maximize_eva(reduced)
         scan_s = min(scan_s, time.perf_counter() - start)
     start = time.perf_counter()
-    full = enumerate_vertices(build_h_polytope(reduced)).vertices
+    full = enumerate_vertices(build_h_polytope(reduced))
     full_s = time.perf_counter() - start
     assert res.convexity_certified
     assert res.value == pytest.approx(float(np.max(EvaObjective(0.0).values(full))), rel=1e-12)
@@ -443,9 +444,9 @@ def test_close_point_pair_keeps_every_maximal_vertex(vertex_route):
         vertex_route("auto")
         res = maximize_eva(reduced, objective)
         assert res.convexity_certified
-        assert_vertices_of_closure(poly, enumerate_vertices(poly, maximal=True).vertices)
+        assert_vertices_of_closure(poly, enumerate_vertices(poly, maximal=True))
         vertex_route("combinatorial")
-        scan = enumerate_vertices(poly, maximal=True).vertices
+        scan = enumerate_vertices(poly, maximal=True)
         best = float(np.max(objective.values(scan)))
         assert res.value >= best * (1.0 - 1e-12), (seed, n, sep)
 
@@ -464,9 +465,9 @@ def test_scan_and_dual_route_agree_on_close_pairs(vertex_route):
                 # C(m, n) of the full system passes 296k at N = 6.
                 for maximal in (True,) if n == 6 else (False, True):
                     vertex_route("combinatorial")
-                    scan = enumerate_vertices(poly, maximal=maximal).vertices
+                    scan = enumerate_vertices(poly, maximal=maximal)
                     vertex_route("dual")
-                    dual = enumerate_vertices(poly, maximal=maximal).vertices
+                    dual = enumerate_vertices(poly, maximal=maximal)
                     close = np.all(np.abs(scan[:, None] - dual[None]) <= 1e-7 * u, axis=2)
                     case = (n, sep, k, maximal, len(scan), len(dual))
                     assert len(scan) == len(dual), case
@@ -682,7 +683,7 @@ def test_two_point_solve_is_certified_and_beats_ascent(monkeypatch):
         assert res.convexity_certified
         poly = build_h_polytope(reduced)
         assert poly.contains(res.radii)
-        ascent, _ = _multistart_ascent(poly, objective, enumerate_vertices(poly).vertices)
+        ascent, _ = _multistart_ascent(poly, objective, enumerate_vertices(poly))
         assert res.value >= ascent
     # Equal densities past hR = ln 2: the midpoint beats every vertex.
     res = maximize_eva(ReducedDistanceMatrix(np.array([[0.0, 0.3], [0.3, 0.0]]), 3.0))
@@ -691,15 +692,16 @@ def test_two_point_solve_is_certified_and_beats_ascent(monkeypatch):
 
 
 def assert_bounds_cover_subsets(matrix, h, objective):
-    """Every subset's pair-tightened bound is at least its eva, and at
-    most the per-point sum with budgets widened past the tolerance."""
+    """Every subset's pair-tightened bound covers its eva up to the
+    search's pruning margin, and is at most the per-point sum with the
+    budgets raised by 1e-6."""
     n = matrix.n
     reduced = reduce_distance_matrix(matrix, h)
     subsets = [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
     bounds = _subset_upper_bounds(matrix, reduced, objective, subsets)
     for subset, bound in zip(subsets, bounds):
         sub = reduce_distance_matrix(matrix.submatrix(subset), h)
-        assert bound >= maximize_eva(sub, objective.subset(subset)).value
+        assert bound * (1.0 + _PRUNE_RTOL) >= maximize_eva(sub, objective.subset(subset)).value
         m = len(subset)
         u = sub.entries[0] if m == 1 else (sub.entries + np.diag(np.full(m, np.inf))).min(axis=1)
         assert bound <= objective.subset(subset).value(np.minimum(u + 1e-6, reduced.r_max))
@@ -780,15 +782,15 @@ def test_three_point_solve_never_below_grid_or_ascent():
         poly = build_h_polytope(reduced)
         faces += res.attaining_vertex is None
         if res.attaining_vertex is None:
-            assert poly.contains(res.radii, tol=0.0)
+            assert poly.contains(res.radii)
         oracle = triangle_grid_oracle(reduced, objective)
         assert res.value >= oracle * (1.0 - 1e-13), (reduced.entries, oracle, res.value)
-        ascent, _ = _multistart_ascent(poly, objective, enumerate_vertices(poly).vertices)
+        ascent, _ = _multistart_ascent(poly, objective, enumerate_vertices(poly))
         assert res.value >= ascent * (1.0 - 1e-13)
         # With no incumbent every searched face returns its best point.
         value, radii = _triple_max(poly, reduced, objective, -math.inf)
         if radii is not None:
-            assert poly.contains(radii, tol=0.0)
+            assert poly.contains(radii)
             assert value == objective.value(radii) <= res.value * (1.0 + 1e-13)
     assert faces >= 5  # the family reaches maxima off the vertices
 
@@ -819,7 +821,7 @@ def test_star_breaking_the_third_pair_row_never_wins():
     assert x[np.argmax(free)] < 0.3
     res = maximize_eva(reduced, objective)
     poly = build_h_polytope(reduced)
-    assert poly.contains(res.radii, tol=0.0)
+    assert poly.contains(res.radii)
     assert res.radii == pytest.approx([0.4, 0.6, 0.6], rel=1e-12)
     assert res.value < float(np.max(free)) * (1.0 - 1e-2)
     assert res.value >= triangle_grid_oracle(reduced, objective) * (1.0 - 1e-13)

@@ -26,3 +26,39 @@ def test_no_unused_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+def private_names(path: Path) -> dict[str, int]:
+    """Each module-level _private name the module defines, with its line."""
+    names = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in found for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def test_no_orphaned_private_names():
+    # A helper that nothing in the package reads any more is dead code.
+    modules = sorted(PACKAGE.glob("*.py"))
+    read = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = [
+        f"{path.name}:{line} {name}"
+        for path in modules
+        for name, line in private_names(path).items()
+        if name not in read
+    ]
+    assert orphans == []

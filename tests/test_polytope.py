@@ -124,7 +124,7 @@ def test_build_worked_example_rows():
 def test_build_single_point_interval():
     poly = build_h_polytope(ReducedDistanceMatrix(np.array([[4.0]]), 0.0))
     verts = enumerate_vertices(poly)
-    assert same_vertex_sets(verts.vertices, [[0.0], [4.0]], 1e-12)
+    assert same_vertex_sets(verts, [[0.0], [4.0]], 1e-12)
 
 
 def test_build_two_points_with_cap():
@@ -136,7 +136,7 @@ def test_build_two_points_with_cap():
     assert all(poly.b[i] == 1.0 for i in cap_rows)
     verts = enumerate_vertices(poly)
     square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-    assert same_vertex_sets(verts.vertices, square, 1e-9)
+    assert same_vertex_sets(verts, square, 1e-9)
 
 
 def loop_h_rows(reduced):
@@ -202,10 +202,10 @@ def test_enumerate_worked_example_vertices(vertex_route):
     for route in ("combinatorial", "dual"):
         vertex_route(route)
         verts = enumerate_vertices(worked_polytope())
-        assert same_vertex_sets(verts.vertices, WORKED_VERTICES, 1e-9), route
+        assert same_vertex_sets(verts, WORKED_VERTICES, 1e-9), route
     # Deterministic lexicographic order on the default path.
     vertex_route("auto")
-    out = enumerate_vertices(worked_polytope()).vertices
+    out = enumerate_vertices(worked_polytope())
     assert np.array_equal(out, WORKED_VERTICES)
 
 
@@ -217,7 +217,7 @@ def test_printed_point_is_not_extreme():
     assert poly.contains(point)
     active = np.abs(poly.M @ point - poly.b) <= 1e-12
     assert np.linalg.matrix_rank(poly.M[active]) < poly.n
-    verts = enumerate_vertices(poly).vertices
+    verts = enumerate_vertices(poly)
     assert not any(np.max(np.abs(point - v)) <= 1e-7 for v in verts)
     # It is the midpoint of two actual vertices.
     assert np.allclose(point, 0.5 * (np.array([0, 1, 0]) + np.array([0, 1, 2])))
@@ -234,7 +234,7 @@ def test_enumerate_matches_oracle_random(vertex_route):
         scale = max(1.0, float(np.max(np.abs(poly.b))))
         for route in ("combinatorial", "dual"):
             vertex_route(route)
-            got = enumerate_vertices(poly).vertices
+            got = enumerate_vertices(poly)
             assert same_vertex_sets(got, expected, 1e-7 * scale), (trial, route)
 
 
@@ -244,9 +244,9 @@ def test_methods_agree_on_larger_instances(vertex_route):
         matrix = random_distance_matrix(rng, 6)
         poly = build_h_polytope(reduce_distance_matrix(matrix, 0.0))
         vertex_route("combinatorial")
-        a = enumerate_vertices(poly).vertices
+        a = enumerate_vertices(poly)
         vertex_route("dual")
-        b = enumerate_vertices(poly).vertices
+        b = enumerate_vertices(poly)
         scale = max(1.0, float(np.max(np.abs(poly.b))))
         assert same_vertex_sets(a, b, 1e-7 * scale)
 
@@ -258,7 +258,7 @@ def test_vertices_have_full_rank_active_sets():
         matrix = random_distance_matrix(rng, n)
         poly = build_h_polytope(reduce_distance_matrix(matrix, 0.0))
         scale = max(1.0, float(np.max(np.abs(poly.b))))
-        for v in enumerate_vertices(poly).vertices:
+        for v in enumerate_vertices(poly):
             assert poly.contains(v)
             active = np.abs(poly.M @ v - poly.b) <= 1e-7 * scale
             assert np.linalg.matrix_rank(poly.M[active]) == poly.n
@@ -268,7 +268,7 @@ def test_every_vertex_maximizes_some_linear_functional():
     rng = np.random.default_rng(12)
     matrix = random_distance_matrix(rng, 4)
     poly = build_h_polytope(reduce_distance_matrix(matrix, 0.0))
-    verts = enumerate_vertices(poly).vertices
+    verts = enumerate_vertices(poly)
     scale = max(1.0, float(np.max(np.abs(poly.b))))
     for _ in range(40):
         c = rng.normal(size=poly.n)
@@ -287,12 +287,12 @@ def test_convex_hull_closure():
     rng = np.random.default_rng(77)
     matrix = random_distance_matrix(rng, 4)
     poly = build_h_polytope(reduce_distance_matrix(matrix, 0.0))
-    verts = enumerate_vertices(poly).vertices
+    verts = enumerate_vertices(poly)
     box_hi = np.max(verts, axis=0)
     samples = []
     while len(samples) < 25:
         x = rng.random(poly.n) * box_hi
-        if poly.contains(x, tol=0.0):
+        if poly.contains(x):
             samples.append(x)
     a_eq = np.vstack([verts.T, np.ones(len(verts))])
     for x in samples:
@@ -402,14 +402,14 @@ def test_maximal_vertices_are_the_pareto_filter(vertex_route):
     for poly in tie_heavy_polytopes():
         scale = max(1.0, float(np.max(poly.b)))
         vertex_route("auto")
-        full = enumerate_vertices(poly).vertices
+        full = enumerate_vertices(poly)
         expected = pareto_filter(full, 1e-9 * scale)
         # Every Pareto survivor is maximal in the whole polytope, not just
         # among the vertices.
         assert not any(dominated_by_some_point(poly, v, 1e-9 * scale) for v in expected)
         for route in ["dual"] + (["combinatorial"] if poly.n <= 6 else []):
             vertex_route(route)
-            got = enumerate_vertices(poly, maximal=True).vertices
+            got = enumerate_vertices(poly, maximal=True)
             assert same_point_sets(got, expected, 1e-9 * scale), (poly.n, route)
             routes[route] += 1
         if math.comb(poly.m, poly.n) <= 5_000:  # N <= 4, and N = 5 without caps
@@ -421,7 +421,7 @@ def test_maximal_vertices_are_the_pareto_filter(vertex_route):
 
 def test_maximal_single_point_is_the_interval_top():
     poly = build_h_polytope(ReducedDistanceMatrix(np.array([[4.0]]), 0.0))
-    assert np.array_equal(enumerate_vertices(poly, maximal=True).vertices, [[4.0]])
+    assert np.array_equal(enumerate_vertices(poly, maximal=True), [[4.0]])
 
 
 def test_maximal_needs_nonneg_rows():
@@ -441,7 +441,7 @@ def test_zero_budget_coordinates_are_pinned(vertex_route):
         expected = np.array(brute_force_vertices(poly.M, poly.b))
         for route in ("auto", "dual", "combinatorial"):
             vertex_route(route)
-            got = enumerate_vertices(poly).vertices
+            got = enumerate_vertices(poly)
             assert same_vertex_sets(got, expected, 1e-7 * scale), (poly.n, route)
         zero_rows = (poly.b == 0.0) & (plus_counts(poly) > 0)
         pinned = np.any(poly.M[zero_rows] == 1.0, axis=0)
@@ -455,7 +455,7 @@ def test_all_coordinates_pinned(vertex_route):
     for maximal in (False, True):
         for route in ("auto", "dual", "combinatorial"):
             vertex_route(route)
-            verts = enumerate_vertices(poly, maximal=maximal).vertices
+            verts = enumerate_vertices(poly, maximal=maximal)
             assert np.array_equal(verts, np.zeros((1, 4)))
 
 
@@ -490,7 +490,7 @@ def test_dual_fallback_is_logged(caplog, monkeypatch, vertex_route):
             monkeypatch.setattr(polytope, "ConvexHull", hull)
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
-                got = enumerate_vertices(poly).vertices
+                got = enumerate_vertices(poly)
             assert all(poly.contains(v) for v in got), route
             assert np.all(cKDTree(got).query(expected, p=np.inf)[0] <= 1e-7 * scale), route
             assert f"route={route}" in caplog.records[-1].getMessage()
@@ -506,7 +506,7 @@ def test_zero_budget_is_pinned_not_a_fallback(caplog, vertex_route):
     vertex_route("dual")
     with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
         verts = enumerate_vertices(zero_budget)
-    assert np.array_equal(verts.vertices, [[0.0, 0.0]])
+    assert np.array_equal(verts, [[0.0, 0.0]])
     assert fallback_records(caplog) == []
     assert [r.getMessage() for r in caplog.records] == [
         "enumerate_vertices: route=combinatorial maximal=False pinned=2 n=0 m=0 vertices=1"
