@@ -10,6 +10,7 @@ bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,10 +51,10 @@ _ZERO_RADIUS_RTOL = 1e-9
 # sums being compared, so subsets that tie the best value are still solved.
 _PRUNE_RTOL = 1e-12
 
-# Bisection steps for the two-point stationary point.  The bracket is
-# shorter than 1 in units of 1/h, so it ends below 6e-20; the objective is
-# stationary at the root, so its value there is exact to rounding.
-_PAIR_BISECT_STEPS = 64
+# Cap on the Newton steps for the two-point stationary point; random
+# pairs need at most about 16, and a step that leaves its bracket halves
+# the bracket instead, so 64 steps would also end a plain bisection.
+_PAIR_NEWTON_STEPS = 64
 
 # Relative margin by which a bound on a face of a 3-point polytope must
 # beat the best value found for the face search to go on (see
@@ -312,23 +313,54 @@ def _pair_stationary(log_ratio: np.ndarray, rho: np.ndarray) -> np.ndarray:
     4 q^2 + 6 (1 - rho) q - rho (1 - rho) = 0.  At rho = 1 (a budget of
     exactly 1/h) psi(x)/psi(1 - x) = e^(2 - 4x), with a removable 0/0 at
     the segment ends, so there H = log_ratio + 2 - 4x, root written out.
+
+    Otherwise Newton steps on H from rho/2 find the root, each entry in
+    its own bracket [a, b] with H(a) > 0 >= H(b), first [x1, rho - x1].
+    H' is convex with its minimum at rho/2, so H is concave left of
+    rho/2 and convex right of it, and from rho/2 the steps approach the
+    root from one side until rounding stops them.  A step below one ulp
+    moves one ulp toward the root instead, and a step that does not land
+    strictly inside the bracket halves it.  The result is a once b is the
+    next float after a: the last point found with H > 0 next to one with
+    H <= 0.
     """
     x = 0.5 + 0.25 * log_ratio
     inner = rho < 1.0
-    if np.any(inner):
-        c, p = log_ratio[inner], rho[inner]
-        gap = 1.0 - p
-        q = 2.0 * p * gap / (6.0 * gap + np.sqrt(36.0 * gap * gap + 16.0 * p * gap))
-        lo = 2.0 * q / (p + np.sqrt(np.maximum(p * p - 4.0 * q, 0.0)))
-        step = p - 2.0 * lo
-        # H falls on [lo, lo + step]: bisect, moving lo up while H > 0.
-        offset = c + 2.0 * p
-        for _ in range(_PAIR_BISECT_STEPS):
-            step *= 0.5
-            mid = lo + step
-            rising = np.log(mid * (1.0 - mid) / ((p - mid) * (gap + mid))) > 4.0 * mid - offset
-            np.add(lo, step, out=lo, where=rising)
-        x[inner] = lo + 0.5 * step
+    if not np.any(inner):
+        return x
+    c, p = log_ratio[inner], rho[inner]
+    gap = 1.0 - p
+    q = 2.0 * p * gap / (6.0 * gap + np.sqrt(36.0 * gap * gap + 16.0 * p * gap))
+    a = 2.0 * q / (p + np.sqrt(np.maximum(p * p - 4.0 * q, 0.0)))
+    b = p - a
+    offset = c + 2.0 * p
+
+    def falls(t, rest):
+        # H(t), with rest = p - t; H > 0 exactly when the float log term
+        # exceeds 4t - offset.
+        return np.log(t * (1.0 - t) / (rest * (gap + t))) - (4.0 * t - offset)
+
+    at_a, at_b = falls(a, b), falls(b, a)
+    live = (at_a > 0.0) & (at_b < 0.0)
+    t = np.where(at_a <= 0.0, a, np.where(at_b >= 0.0, b, 0.5 * p))
+    two = 2.0 - p
+    for _ in range(_PAIR_NEWTON_STEPS):
+        if not np.any(live):
+            break
+        rest = p - t
+        value = falls(t, rest)
+        right = value > 0.0
+        a = np.where(right, t, a)
+        b = np.where(right, b, t)
+        q = t * rest
+        slope = p / q - two / (gap + q) - 4.0
+        newton = t - np.divide(value, slope, out=np.zeros_like(t), where=slope < 0.0)
+        newton = np.where(newton == t, np.nextafter(t, np.where(right, b, a)), newton)
+        newton = np.where((newton > a) & (newton < b), newton, 0.5 * (a + b))
+        closed = np.nextafter(a, b) >= b
+        t = np.where(live, np.where(closed, a, newton), t)
+        live &= ~closed
+    x[inner] = t
     return x
 
 
@@ -538,11 +570,16 @@ def evA_exact_from_matrix(
     f(r) = r^2 exp(-2 h r) increases on [0, 1/h], so
     UB(S) = sum_i pi theta_i f(u_i(S)) bounds eva(S), also when the local
     ascent runs outside the convex regime.  For |S| >= 2 the bound is
-    tightened by keeping one pair row: relaxing S to r_i + r_j <= R_ij
-    plus the per-point budgets gives, for every pair {i, j} in S,
-    UB(S) - s_i - s_j + E_ij(S), where s_i = pi theta_i f(u_i(S)) and
-    E_ij(S) is the exact two-point maximum (_pair_max) with budget R_ij
-    and caps u_i(S), u_j(S); the smallest over the pairs is used.
+    tightened by keeping the pair rows of a matching M of S (pairs with
+    no point in common): relaxing S to those rows plus the per-point
+    budgets splits it into independent pairs and single points, so
+    UB_M(S) = UB(S) + sum over {i, j} in M of (E_ij(S) - s_i - s_j),
+    where s_i = pi theta_i f(u_i(S)) and E_ij(S) <= s_i + s_j is the
+    exact two-point maximum (_pair_max) with budget R_ij and caps
+    u_i(S), u_j(S).  Every matching gives a valid bound; the best
+    matching of each subset is used (a matching of one pair is the
+    one-pair bound, so this is never weaker), taken over a table of the
+    maximum matchings of all n points (_subset_upper_bounds).
     Subsets are solved in order of decreasing bound, and the search stops
     at the first subset whose bound is below the best value found by
     more than a 1e-12 relative rounding margin; all later subsets have
@@ -599,13 +636,23 @@ def _subset_upper_bounds(
     objective: EvaObjective,
     subsets: list,
 ) -> np.ndarray:
-    """UB(S) tightened by the best pair row (see evA_exact_from_matrix).
+    """UB(S) tightened by the best pair matching (see evA_exact_from_matrix).
 
     +inf for a subset holding a point with an infinite budget (no
     boundary and h = 0); solving that singleton raises the unbounded
     instance error, as the full scan would.  Only singletons can have an
     infinite budget, so the pair terms never meet one.  Every budget is
     at most r_max <= 1/h, where f still increases and _pair_max applies.
+
+    gain[k, p] = min(E_ij(S_k) - s_i - s_j, 0) for each pair p = {i, j}
+    inside S_k and 0 for every other pair; E_ij <= s_i + s_j, so the
+    clip only absorbs rounding.  Every matching of S extends to a row of
+    _matching_table(n), whose other pairs add 0, so the smallest row
+    product is the best matching inside S.  A sum of gains <= 0 is at
+    most each of them in floats too, so the bound never exceeds the one
+    with the single best pair.  The product runs in blocks of subsets and
+    of matchings, each block no larger than the (subsets, n, n) budget
+    array built here.
     """
     n = matrix.n
     h, r_max = reduced.h, reduced.r_max
@@ -622,18 +669,60 @@ def _subset_upper_bounds(
     terms = objective.terms(np.where(members & ~unbounded[:, None], budgets, 0.0))
     bounds = terms.sum(axis=1)
 
-    # Pair rows: one entry per (subset, pair inside it), |S| >= 2 only.
+    # Pair gains: one entry per (subset, pair inside it), |S| >= 2 only.
     iu, ju = np.triu_indices(n, 1)
     k, p = np.nonzero(members[:, iu] & members[:, ju])
     i, j = iu[p], ju[p]
     theta = objective.thetas(n)
     budget = reduced.entries[i, j]
     pair_max, _, _ = _pair_max(theta[i], theta[j], h, budget, budgets[k, i], budgets[k, j])
-    gain = np.zeros(len(subsets))
-    np.minimum.at(gain, k, pair_max - terms[k, i] - terms[k, j])
-    bounds = bounds + gain
+    gain = np.zeros((len(subsets), len(iu)))
+    gain[k, p] = np.minimum(pair_max - terms[k, i] - terms[k, j], 0.0)
+
+    table = _matching_table(n)
+    block = len(subsets) * n * n
+    table_step = max(1, block // max(1, len(iu)))
+    row_step = max(1, block // min(len(table), table_step))
+    best = np.zeros(len(subsets))
+    for t0 in range(0, len(table), table_step):
+        chunk = table[t0:t0 + table_step].T.astype(float)
+        for r0 in range(0, len(subsets), row_step):
+            rows = slice(r0, r0 + row_step)
+            np.minimum(best[rows], (gain[rows] @ chunk).min(axis=1), out=best[rows])
+    bounds = bounds + best
     bounds[unbounded] = np.inf
     return bounds
+
+
+@functools.cache
+def _matching_table(n: int) -> np.ndarray:
+    """The maximum matchings of K_n as a read-only 0/1 table.
+
+    One row per matching, one column per pair in np.triu_indices(n, 1)
+    order.  For even n the rows are the (n - 1)!! perfect matchings; for
+    odd n one point is left out, n (n - 2)!! rows.  n = 1 has one empty
+    row.  Stored as bool, which keeps the table below the float budget
+    array of _subset_upper_bounds up to n = 12 (10,395 rows of 66).
+    """
+    iu, ju = np.triu_indices(n, 1)
+    index = {(int(a), int(b)): q for q, (a, b) in enumerate(zip(iu, ju))}
+    rows: list[list[int]] = []
+
+    def extend(free: tuple, chosen: list) -> None:
+        if len(free) < 2:
+            rows.append(chosen)
+            return
+        first, rest = free[0], free[1:]
+        for m, other in enumerate(rest):
+            extend(rest[:m] + rest[m + 1:], chosen + [index[first, other]])
+        if len(free) % 2:  # the point left out
+            extend(rest, chosen)
+
+    extend(tuple(range(n)), [])
+    table = np.zeros((len(rows), len(iu)), dtype=bool)
+    table[np.arange(len(rows))[:, None], np.array(rows, dtype=int).reshape(len(rows), n // 2)] = True
+    table.flags.writeable = False
+    return table
 
 
 def evA_exact(

@@ -186,18 +186,18 @@ def load_mesh(path) -> FoamMesh:
         return FoamMesh(
             _json_table(obj["vertices"], "vertex", integers=False),
             _json_table(obj["triangles"], "triangle", integers=True),
-            np.array(obj["patches"]) if "patches" in obj else None,
+            _json_patches(obj["patches"]) if "patches" in obj else None,
         )
     return _load_off(path)
 
 
 def _json_table(rows, what: str, integers: bool) -> np.ndarray:
-    """A JSON mesh table as an array of rows of JSON integers or numbers.
+    """A JSON mesh table as an array of rows of 3 JSON integers or numbers.
 
     Types are matched exactly: a bool (an int subclass in Python) is no
     number, a float such as 2.7 or 2.0 is no index, and a string is
-    neither.  An index beyond int64 or a coordinate beyond the float
-    range is rejected too, naming its row.
+    neither.  A row of another length, an index beyond int64 or a
+    coordinate beyond the float range is rejected too, naming its row.
     """
     if not isinstance(rows, list):
         raise MeshFormatError(f"mesh JSON needs a list of {what} rows")
@@ -205,6 +205,8 @@ def _json_table(rows, what: str, integers: bool) -> np.ndarray:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or any(type(x) not in types for x in row):
             raise MeshFormatError(f"{what} {i} must be a list of JSON {kind}")
+        if len(row) != 3:
+            raise MeshFormatError(f"{what} {i} must hold 3 {kind}, not {len(row)}")
     dtype, limit = (np.int64, "int64") if integers else (float, "the float range")
     try:
         return np.array(rows, dtype=dtype)
@@ -215,6 +217,17 @@ def _json_table(rows, what: str, integers: bool) -> np.ndarray:
             except OverflowError:
                 raise MeshFormatError(f"{what} {i} holds a number beyond {limit}") from None
         raise
+
+
+def _json_patches(labels) -> np.ndarray:
+    """The JSON patch labels: a list of scalars (string, number, bool or
+    null), one per triangle; FoamMesh checks the count."""
+    if not isinstance(labels, list):
+        raise MeshFormatError("mesh JSON 'patches' must be a list")
+    for i, label in enumerate(labels):
+        if isinstance(label, (list, dict)):
+            raise MeshFormatError(f"patch {i} must be a JSON scalar")
+    return np.array(labels)
 
 
 _COMMENT = re.compile(r"#[^\n]*")

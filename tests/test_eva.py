@@ -1,5 +1,6 @@
 """The extrinsic vertex area objective, its maximizer, and subset search."""
 
+import functools
 import itertools
 import logging
 import math
@@ -37,8 +38,10 @@ from foambounds import (
 from foambounds.eva import (
     CONVEXITY_COEFF,
     _PRUNE_RTOL,
+    _matching_table,
     _multistart_ascent,
     _pair_max,
+    _pair_stationary,
     _subset_upper_bounds,
     _triple_max,
 )
@@ -665,6 +668,59 @@ def test_pair_threshold_is_convexity_coefficient():
     assert r_i[0] == r_j[0] == 1.0 / (2.0 * h)
 
 
+def bisected_pair_stationary(log_ratio, rho):
+    """The 64-step bisection for the root of H on [x1, rho - x1] that
+    _pair_stationary's Newton steps replace, kept as a reference."""
+    x = 0.5 + 0.25 * log_ratio
+    inner = rho < 1.0
+    c, p = log_ratio[inner], rho[inner]
+    gap = 1.0 - p
+    q = 2.0 * p * gap / (6.0 * gap + np.sqrt(36.0 * gap * gap + 16.0 * p * gap))
+    lo = 2.0 * q / (p + np.sqrt(np.maximum(p * p - 4.0 * q, 0.0)))
+    step = p - 2.0 * lo
+    offset = c + 2.0 * p
+    for _ in range(64):
+        step *= 0.5
+        mid = lo + step
+        rising = np.log(mid * (1.0 - mid) / ((p - mid) * (gap + mid))) > 4.0 * mid - offset
+        np.add(lo, step, out=lo, where=rising)
+    x[inner] = lo + 0.5 * step
+    return x
+
+
+def test_pair_stationary_matches_bisection():
+    # Random weight ratios and budgets past the convex regime.  The
+    # values along the segment agree to 1e-15 relative.  The roots agree
+    # to 4 ulp wherever the float H changes sign once; elsewhere both
+    # lie in the stretch where rounding flips its sign.
+    rng = np.random.default_rng(61)
+    size = 20_000
+    rho = rng.uniform(CONVEXITY_COEFF, 1.0, size)
+    rho[:100] = 1.0
+    log_ratio = np.log(rng.uniform(0.25, 4.0, size) / rng.uniform(0.25, 4.0, size))
+    x = _pair_stationary(log_ratio, rho)
+    want = bisected_pair_stationary(log_ratio, rho)
+
+    def along(t):
+        f = lambda z: z * z * np.exp(-2.0 * z)  # noqa: E731
+        return np.exp(log_ratio) * f(t) + f(rho - t)
+
+    assert np.all(np.abs(along(x) - along(want)) <= 1e-15 * along(want))
+    ulp = np.spacing(np.abs(want))
+    far = np.abs(x - want) > 4.0 * ulp
+    assert np.count_nonzero(far) < 0.02 * size
+    steps = np.arange(-512, 513)
+    t = want[far, None] + steps * ulp[far, None]
+    p, c = rho[far, None], log_ratio[far, None]
+    positive = np.log(t * (1.0 - t) / ((p - t) * (1.0 - p + t))) > 4.0 * t - (c + 2.0 * p)
+    flips = positive[:, 1:] != positive[:, :-1]
+    first = np.argmax(flips, axis=1)
+    last = flips.shape[1] - np.argmax(flips[:, ::-1], axis=1)
+    assert np.all((first > 0) & (last < flips.shape[1]))
+    rows = np.arange(len(t))
+    assert np.all((t[rows, first] <= x[far]) & (x[far] <= t[rows, last]))
+
+
 def test_two_point_solve_is_certified_and_beats_ascent(monkeypatch):
     import foambounds.eva as eva_module
 
@@ -691,10 +747,49 @@ def test_two_point_solve_is_certified_and_beats_ascent(monkeypatch):
     assert res.radii == pytest.approx([0.15, 0.15], rel=1e-12)
 
 
+def subset_budgets(matrix, reduced, subset):
+    """u_i(S) of every member, worked out directly from the matrices."""
+    if len(subset) == 1:
+        return np.minimum(matrix.boundary_distances[list(subset)], reduced.r_max)
+    sub = reduced.entries[np.ix_(subset, subset)] + np.diag(np.full(len(subset), np.inf))
+    return np.minimum(sub.min(axis=1), reduced.r_max)
+
+
+def pair_gains(reduced, objective, subset, u):
+    """E_ij(S) - s_i - s_j for every pair {i, j} of S, keyed by local index."""
+    theta = objective.thetas(reduced.n)[list(subset)]
+    terms = objective.subset(subset).terms(u)
+    pairs = list(itertools.combinations(range(len(subset)), 2))
+    if not pairs:
+        return terms, {}
+    a, b = np.array(pairs).T
+    budget = reduced.entries[np.array(subset)[a], np.array(subset)[b]]
+    e, _, _ = _pair_max(theta[a], theta[b], reduced.h, budget, u[a], u[b])
+    return terms, dict(zip(pairs, e - terms[a] - terms[b]))
+
+
+def best_matching(m, gains):
+    """Smallest sum of min(gain, 0) over the matchings of m points, by recursion."""
+
+    @functools.cache
+    def best(free):
+        if len(free) < 2:
+            return 0.0
+        first, rest = free[0], free[1:]
+        value = best(rest)  # first point left out
+        for k, other in enumerate(rest):
+            pair = min(gains[first, other], 0.0)
+            value = min(value, pair + best(rest[:k] + rest[k + 1:]))
+        return value
+
+    return best(tuple(range(m)))
+
+
 def assert_bounds_cover_subsets(matrix, h, objective):
-    """Every subset's pair-tightened bound covers its eva up to the
-    search's pruning margin, and is at most the per-point sum with the
-    budgets raised by 1e-6."""
+    """Every subset's matching bound covers its eva up to the search's
+    pruning margin, is at most the bound with the single best pair
+    (UB2), and is at most the per-point sum with the budgets raised by
+    1e-6."""
     n = matrix.n
     reduced = reduce_distance_matrix(matrix, h)
     subsets = [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
@@ -702,18 +797,19 @@ def assert_bounds_cover_subsets(matrix, h, objective):
     for subset, bound in zip(subsets, bounds):
         sub = reduce_distance_matrix(matrix.submatrix(subset), h)
         assert bound * (1.0 + _PRUNE_RTOL) >= maximize_eva(sub, objective.subset(subset)).value
-        m = len(subset)
-        u = sub.entries[0] if m == 1 else (sub.entries + np.diag(np.full(m, np.inf))).min(axis=1)
+        u = subset_budgets(matrix, reduced, subset)
+        terms, gains = pair_gains(reduced, objective, subset, u)
+        assert bound <= terms.sum() + min(gains.values(), default=0.0)
         assert bound <= objective.subset(subset).value(np.minimum(u + 1e-6, reduced.r_max))
     return reduced, bounds
 
 
-def test_pair_tightened_bound_covers_every_subset():
+def test_matching_bound_covers_every_subset():
     rng = np.random.default_rng(47)
     for h in (0.0, 0.3, 3.0, 6.0):
         for ball_radius in (1.0, 3.0):
-            for _ in range(3):
-                n = int(rng.integers(2, 6))
+            for _ in range(2):
+                n = int(rng.integers(2, 8))
                 matrix = random_distance_matrix(rng, n, ball_radius)
                 assert_bounds_cover_subsets(
                     matrix, h, EvaObjective(h, rng.choice(MIXED_THETAS, size=n))
@@ -729,6 +825,49 @@ def test_pair_tightened_bound_covers_every_subset():
     per_point = [objective.subset(s).value(np.full(len(s), 1.0 / 6.0))
                  for size in range(2, 5) for s in itertools.combinations(range(4), size)]
     assert np.all(bounds[4:] < per_point)
+    # The full set holds two disjoint pairs, and both tighten its bound.
+    full = (0, 1, 2, 3)
+    terms, gains = pair_gains(reduced, objective, full, subset_budgets(matrix, reduced, full))
+    assert bounds[-1] < terms.sum() + min(gains.values())
+    assert bounds[-1] == pytest.approx(terms.sum() + best_matching(4, gains), rel=1e-15)
+
+
+def double_factorial(n):
+    return math.prod(range(n, 0, -2))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_matching_table_rows_are_the_maximum_matchings(n):
+    table = _matching_table(n)
+    iu, ju = np.triu_indices(n, 1)
+    assert table.shape == (double_factorial(n - 1 if n % 2 == 0 else n), len(iu))
+    assert not table.flags.writeable
+    # Each row holds n // 2 pairs with no point twice, and no row repeats.
+    assert np.all(table.sum(axis=1) == n // 2)
+    for point in range(n):
+        assert table[:, (iu == point) | (ju == point)].sum(axis=1).max() <= 1
+    assert len(np.unique(table, axis=0)) == len(table)
+
+
+def test_chunked_matching_bound_matches_per_subset_recursion():
+    # At n = 11 the product runs in several blocks of matchings and of
+    # subsets; at n = 10 in blocks of subsets only.  Every large subset
+    # and a sample of the rest are checked against a direct recursion.
+    rng = np.random.default_rng(48)
+    for n, h in ((10, 3.0), (11, 6.0)):
+        matrix = random_distance_matrix(rng, n, ball_radius=1.0)
+        objective = EvaObjective(h, rng.choice(MIXED_THETAS, size=n))
+        reduced = reduce_distance_matrix(matrix, h)
+        subsets = [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
+        bounds = _subset_upper_bounds(matrix, reduced, objective, subsets)
+        sample = [k for k, s in enumerate(subsets) if len(s) >= n - 1]
+        sample += list(rng.choice(len(subsets) - n - 1, size=40, replace=False))
+        for k in sample:
+            subset = subsets[k]
+            u = subset_budgets(matrix, reduced, subset)
+            terms, gains = pair_gains(reduced, objective, subset, u)
+            want = terms.sum() + best_matching(len(subset), gains)
+            assert bounds[k] == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
 # --- three-point solve --------------------------------------------------------
@@ -962,6 +1101,37 @@ def test_evA_exact_pruned_matches_exhaustive_oracle():
             reduced = reduce_distance_matrix(matrix, h)
             assert np.sum(reduced.entries == 1.0 / h) >= 2
             assert_matches_oracle(matrix, h, rng.choice(thetas, size=n))
+
+
+def test_evA_exact_pruned_matches_exhaustive_oracle_where_matching_prunes():
+    # Seven points with one pair row above the convex regime: five in a
+    # cluster and two on opposite sides of it.  The 26 subsets of four or
+    # more points that hold both are uncertified (the local ascent scores
+    # them).  Some of them the bound with one pair row would solve, as it
+    # does not fall below evA, while the matching bound prunes them.
+    rng = np.random.default_rng(20)
+    thetas = np.array([THETA_VERTEX, THETA_EDGE, THETA_FACE])
+    for h in (3.0, 6.0):
+        limit = CONVEXITY_COEFF / h
+        cluster = random_point_set(rng, 5, ball_radius=0.3 * limit).points
+        side = rng.normal(size=3)
+        side *= 0.6 * limit / np.linalg.norm(side)
+        points = PointSet(np.vstack([cluster, side, -side])[rng.permutation(7)])
+        matrix = build_distance_matrix(points, Ball(np.zeros(3), 1.0))
+        weights = rng.choice(thetas, size=7)
+        res = assert_matches_oracle(matrix, h, weights)
+        objective, reduced = EvaObjective(h, weights), reduce_distance_matrix(matrix, h)
+        subsets = [s for size in range(4, 8) for s in itertools.combinations(range(7), size)]
+        bounds = _subset_upper_bounds(matrix, reduced, objective, subsets)
+        skipped = 0
+        for subset, bound in zip(subsets, bounds):
+            if convexity_certified(reduce_distance_matrix(matrix.submatrix(subset), h)):
+                continue
+            u = subset_budgets(matrix, reduced, subset)
+            terms, gains = pair_gains(reduced, objective, subset, u)
+            one_pair = terms.sum() + min(gains.values())
+            skipped += one_pair * (1.0 + _PRUNE_RTOL) >= res.value > bound * (1.0 + _PRUNE_RTOL)
+        assert skipped >= 1
 
 
 def test_evA_exact_tie_prefers_smaller_subset():

@@ -552,11 +552,32 @@ def test_json_mesh_schema(tmp_path):
          "triangle 0 must be a list of JSON integers"),
         ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], {"0": [0, 1, 2]},
          "mesh JSON needs a list of triangle rows"),
+        # Ragged rows: numpy alone names no row ("inhomogeneous shape").
+        ([[0, 0, 0], [1, 0], [0, 1, 0]], [[0, 1, 2]],
+         "vertex 1 must hold 3 numbers, not 2"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2], [0, 1, 3, 2]],
+         "triangle 1 must hold 3 integers, not 4"),
     ],
 )
 def test_json_mesh_rejects_coerced_numbers(tmp_path, vertices, triangles, message):
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps({"vertices": vertices, "triangles": triangles}))
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "patches, message",
+    [
+        (["a", ["b", "c"]], "patch 1 must be a JSON scalar"),
+        ({"0": "a", "1": "b"}, "mesh JSON 'patches' must be a list"),
+    ],
+)
+def test_json_mesh_rejects_ragged_patches(tmp_path, patches, message):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                "triangles": [[0, 1, 2], [0, 1, 3]], "patches": patches}))
     with pytest.raises(MeshFormatError) as info:
         load_mesh(path)
     assert str(info.value) == message
