@@ -644,15 +644,15 @@ def _subset_upper_bounds(
     infinite budget, so the pair terms never meet one.  Every budget is
     at most r_max <= 1/h, where f still increases and _pair_max applies.
 
-    gain[k, p] = min(E_ij(S_k) - s_i - s_j, 0) for each pair p = {i, j}
+    gain[p, k] = min(E_ij(S_k) - s_i - s_j, 0) for each pair p = {i, j}
     inside S_k and 0 for every other pair; E_ij <= s_i + s_j, so the
     clip only absorbs rounding.  Every matching of S extends to a row of
-    _matching_table(n), whose other pairs add 0, so the smallest row
-    product is the best matching inside S.  A sum of gains <= 0 is at
-    most each of them in floats too, so the bound never exceeds the one
-    with the single best pair.  The product runs in blocks of subsets and
-    of matchings, each block no larger than the (subsets, n, n) budget
-    array built here.
+    _matching_table(n), whose other pairs add 0, so the smallest sum of
+    gains over a row's n // 2 pairs is the best matching inside S.  A
+    sum of gains <= 0 is at most each of them in floats too, so the
+    bound never exceeds the one with the single best pair.  The sums are
+    gathered in blocks of subsets and of matchings, each block no larger
+    than the (subsets, n, n) budget array built here.
     """
     n = matrix.n
     h, r_max = reduced.h, reduced.r_max
@@ -676,19 +676,25 @@ def _subset_upper_bounds(
     theta = objective.thetas(n)
     budget = reduced.entries[i, j]
     pair_max, _, _ = _pair_max(theta[i], theta[j], h, budget, budgets[k, i], budgets[k, j])
-    gain = np.zeros((len(subsets), len(iu)))
-    gain[k, p] = np.minimum(pair_max - terms[k, i] - terms[k, j], 0.0)
+    # One row per pair, so each gather below copies whole rows of subsets.
+    gain = np.zeros((len(iu), len(subsets)))
+    gain[p, k] = np.minimum(pair_max - terms[k, i] - terms[k, j], 0.0)
 
     table = _matching_table(n)
     block = len(subsets) * n * n
     table_step = max(1, block // max(1, len(iu)))
     row_step = max(1, block // min(len(table), table_step))
     best = np.zeros(len(subsets))
-    for t0 in range(0, len(table), table_step):
-        chunk = table[t0:t0 + table_step].T.astype(float)
+    # n = 1 has no pair, and its one empty matching adds nothing.
+    for t0 in range(0, len(table) if n >= 2 else 0, table_step):
+        first, *rest = table[t0:t0 + table_step].T
         for r0 in range(0, len(subsets), row_step):
             rows = slice(r0, r0 + row_step)
-            np.minimum(best[rows], (gain[rows] @ chunk).min(axis=1), out=best[rows])
+            block_gain = gain[:, rows]
+            total = block_gain[first]
+            for q in rest:
+                total += block_gain[q]
+            np.minimum(best[rows], total.min(axis=0), out=best[rows])
     bounds = bounds + best
     bounds[unbounded] = np.inf
     return bounds
@@ -696,13 +702,12 @@ def _subset_upper_bounds(
 
 @functools.cache
 def _matching_table(n: int) -> np.ndarray:
-    """The maximum matchings of K_n as a read-only 0/1 table.
+    """The maximum matchings of K_n as a read-only table of pair indices.
 
-    One row per matching, one column per pair in np.triu_indices(n, 1)
-    order.  For even n the rows are the (n - 1)!! perfect matchings; for
-    odd n one point is left out, n (n - 2)!! rows.  n = 1 has one empty
-    row.  Stored as bool, which keeps the table below the float budget
-    array of _subset_upper_bounds up to n = 12 (10,395 rows of 66).
+    One row per matching, holding its n // 2 pairs as indices into
+    np.triu_indices(n, 1) order, increasing.  For even n the rows are the
+    (n - 1)!! perfect matchings; for odd n one point is left out,
+    n (n - 2)!! rows.  n = 1 has one empty row.
     """
     iu, ju = np.triu_indices(n, 1)
     index = {(int(a), int(b)): q for q, (a, b) in enumerate(zip(iu, ju))}
@@ -719,8 +724,7 @@ def _matching_table(n: int) -> np.ndarray:
             extend(rest, chosen)
 
     extend(tuple(range(n)), [])
-    table = np.zeros((len(rows), len(iu)), dtype=bool)
-    table[np.arange(len(rows))[:, None], np.array(rows, dtype=int).reshape(len(rows), n // 2)] = True
+    table = np.array(rows, dtype=np.intp).reshape(len(rows), n // 2)
     table.flags.writeable = False
     return table
 

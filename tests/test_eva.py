@@ -840,17 +840,18 @@ def double_factorial(n):
 def test_matching_table_rows_are_the_maximum_matchings(n):
     table = _matching_table(n)
     iu, ju = np.triu_indices(n, 1)
-    assert table.shape == (double_factorial(n - 1 if n % 2 == 0 else n), len(iu))
+    assert table.shape == (double_factorial(n - 1 if n % 2 == 0 else n), n // 2)
     assert not table.flags.writeable
-    # Each row holds n // 2 pairs with no point twice, and no row repeats.
-    assert np.all(table.sum(axis=1) == n // 2)
-    for point in range(n):
-        assert table[:, (iu == point) | (ju == point)].sum(axis=1).max() <= 1
-    assert len(np.unique(table, axis=0)) == len(table)
+    # Each row holds n // 2 increasing pair indices with no point twice,
+    # and no row repeats.
+    assert np.all(np.diff(table, axis=1) > 0)
+    ends = np.concatenate([iu[table], ju[table]], axis=1)
+    assert all(len(set(row)) == 2 * (n // 2) for row in ends.tolist())
+    assert len({tuple(row) for row in table.tolist()}) == len(table)
 
 
 def test_chunked_matching_bound_matches_per_subset_recursion():
-    # At n = 11 the product runs in several blocks of matchings and of
+    # At n = 11 the sums run in several blocks of matchings and of
     # subsets; at n = 10 in blocks of subsets only.  Every large subset
     # and a sample of the rest are checked against a direct recursion.
     rng = np.random.default_rng(48)

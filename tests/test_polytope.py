@@ -466,6 +466,15 @@ def fallback_records(caplog):
     return [r for r in caplog.records if "falls back" in r.getMessage()]
 
 
+def retry_records(caplog):
+    return [r for r in caplog.records if "unmerged hull retried" in r.getMessage()]
+
+
+def merged_hull(points, qhull_options=None):
+    """Qhull's default, pre-merged hull, whatever the options asked for."""
+    return ConvexHull(points)
+
+
 def test_dual_fallback_is_logged(caplog, monkeypatch, vertex_route):
     # Budgets of 1e-13 and a region 1e-8 thin stay on the dual route; only
     # a failed hull computation hands over to the combinatorial scan.
@@ -479,7 +488,7 @@ def test_dual_fallback_is_logged(caplog, monkeypatch, vertex_route):
     ))
     vertex_route("dual")
 
-    def failing_hull(points):
+    def failing_hull(points, qhull_options=None):
         raise QhullError("QH6154 Qhull precision error: initial simplex is flat")
 
     for poly in (tiny_budget, thin):
@@ -494,6 +503,8 @@ def test_dual_fallback_is_logged(caplog, monkeypatch, vertex_route):
             assert all(poly.contains(v) for v in got), route
             assert np.all(cKDTree(got).query(expected, p=np.inf)[0] <= 1e-7 * scale), route
             assert f"route={route}" in caplog.records[-1].getMessage()
+            # Both the unmerged hull and its merged retry fail.
+            assert len(retry_records(caplog)) == (route == "combinatorial")
             assert len(fallback_records(caplog)) == (route == "combinatorial")
         assert "falls back to the combinatorial scan" in caplog.text
         assert "QhullError: QH6154" in caplog.text
@@ -513,9 +524,13 @@ def test_zero_budget_is_pinned_not_a_fallback(caplog, vertex_route):
     ]
 
 
-def test_full_dimensional_instance_stays_on_dual_route(caplog):
+def dual_route_instance():
     matrix = random_distance_matrix(np.random.default_rng(3), 7)
-    poly = build_h_polytope(reduce_distance_matrix(matrix, 0.0))
+    return build_h_polytope(reduce_distance_matrix(matrix, 0.0))
+
+
+def test_full_dimensional_instance_stays_on_dual_route(caplog):
+    poly = dual_route_instance()
     assert math.comb(poly.m, poly.n) > _AUTO_COMBINATORIAL_LIMIT  # auto takes the dual route
     with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
         verts = enumerate_vertices(poly)
@@ -525,6 +540,83 @@ def test_full_dimensional_instance_stays_on_dual_route(caplog):
         f"enumerate_vertices: route=dual maximal=False pinned=0 n=7 m={poly.m} "
         f"vertices={len(verts)}"
     ]
+
+
+def test_unmerged_hull_error_retries_merged(caplog, monkeypatch):
+    poly = dual_route_instance()
+    monkeypatch.setattr(polytope, "ConvexHull", merged_hull)
+    expected = enumerate_vertices(poly)
+
+    def unmerged_fails(points, qhull_options=None):
+        if qhull_options == "Q0":
+            raise QhullError("QH6115 qhull precision error: f5 is concave to f18\nmore")
+        return ConvexHull(points)
+
+    monkeypatch.setattr(polytope, "ConvexHull", unmerged_fails)
+    with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
+        got = enumerate_vertices(poly)
+    assert np.array_equal(got, expected)
+    [retry] = retry_records(caplog)
+    assert retry.getMessage() == (
+        f"unmerged hull retried with pre-merging (n=7, points={poly.m + 1}): "
+        "QhullError: QH6115 qhull precision error: f5 is concave to f18"
+    )
+    assert fallback_records(caplog) == []
+    assert "route=dual" in caplog.records[-1].getMessage()
+
+
+@pytest.mark.parametrize("corrupt, cause", [
+    ("offset", "largest excess over a facet"),
+    ("neighbour", "a facet has a missing neighbour"),
+])
+def test_unmerged_hull_that_fails_the_check_retries_merged(caplog, monkeypatch, corrupt, cause):
+    poly = dual_route_instance()
+    monkeypatch.setattr(polytope, "ConvexHull", merged_hull)
+    expected = enumerate_vertices(poly)
+
+    def corrupted(points, qhull_options=None):
+        hull = ConvexHull(points, qhull_options=qhull_options)
+        if qhull_options == "Q0" and corrupt == "offset":
+            # Moved inward by 1e-12 of the largest point norm, the facet
+            # leaves its own vertices beyond it, far above the rounding
+            # allowance of the check.
+            hull.equations[0, -1] += 1e-12 * np.max(np.linalg.norm(points, axis=1))
+        elif qhull_options == "Q0":
+            hull.neighbors[0, 0] = -1
+        return hull
+
+    monkeypatch.setattr(polytope, "ConvexHull", corrupted)
+    with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
+        got = enumerate_vertices(poly)
+    assert np.array_equal(got, expected)
+    [retry] = retry_records(caplog)
+    assert cause in retry.getMessage()
+    assert fallback_records(caplog) == []
+
+
+def test_unmerged_and_merged_hulls_agree_on_built_polytopes(caplog, monkeypatch, vertex_route):
+    # Every nonzero-budget polytope of the spread family, and its downward
+    # closure, gives the same vertex set from the unmerged hull as from
+    # Qhull's merged default, in the budget frame.
+    vertex_route("dual")
+    retried = compared = 0
+    for poly in spread_polytopes():
+        if poly.n == 1 or has_zero_budget(poly):
+            continue
+        frame = budget_frame(poly)
+        for maximal in (False, True):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
+                got = enumerate_vertices(poly, maximal=maximal)
+            retried += len(retry_records(caplog))
+            with monkeypatch.context() as patch:
+                patch.setattr(polytope, "ConvexHull", merged_hull)
+                expected = enumerate_vertices(poly, maximal=maximal)
+            assert same_point_sets(got / frame, expected / frame, 1e-12), (poly.n, maximal)
+            compared += 1
+    # Retries stay rare: one N = 8 polytope meets a Qhull topology error
+    # (QH6107) without merging.
+    assert compared == 2 * 7 * 3 * 6 and retried <= 1
 
 
 # --- interior point ---------------------------------------------------------
