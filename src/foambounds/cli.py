@@ -41,7 +41,6 @@ from .geometry import (
     THETA_V_PI,
     DensityClass,
     DistanceMatrix,
-    build_distance_matrix,
     load_instance,
     reduce_distance_matrix,
 )
@@ -81,7 +80,7 @@ def _load_eva_input(path: str, h_override: float | None):
             weights = np.array([c.theta for c in classes])
     else:
         instance = load_instance(obj)
-        matrix = build_distance_matrix(instance.point_set, instance.domain)
+        matrix = instance.matrix
         h = instance.h
         weights = instance.point_set.thetas
     if h_override is not None:

@@ -11,22 +11,24 @@ bound.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DegeneratePolytopeError, SubsetSizeError
+from .errors import DegeneratePolytopeError, SubsetSizeError, UnboundedInstanceError
 from .geometry import (
     THETA_VERTEX,
     DistanceMatrix,
     Domain,
     PointSet,
     ReducedDistanceMatrix,
+    _unchecked,
     build_distance_matrix,
+    pair_indices,
     reduce_distance_matrix,
+    require_curvature,
 )
 from .polytope import (
     HPolytope,
@@ -83,9 +85,7 @@ class EvaObjective:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        self.h = float(self.h)
-        if not self.h >= 0:
-            raise ValueError("curvature bound h must be >= 0")
+        self.h = require_curvature(self.h)
         if self.weights is not None:
             w = np.atleast_1d(np.asarray(self.weights, dtype=float))
             if not np.all(w > 0):
@@ -124,9 +124,9 @@ class EvaObjective:
         return math.pi * theta * np.exp(-2.0 * self.h * r) * (2.0 * r - 2.0 * self.h * r * r)
 
     def subset(self, indices) -> "EvaObjective":
-        if self.weights is None:
-            return EvaObjective(self.h)
-        return EvaObjective(self.h, self.weights[list(indices)])
+        """The objective of the points at indices; its fields passed the checks."""
+        weights = None if self.weights is None else self.weights[np.asarray(indices)]
+        return _unchecked(EvaObjective, h=self.h, weights=weights)
 
 
 @dataclass(eq=False)
@@ -209,6 +209,13 @@ def maximize_eva(
     Candidates off the vertices are pulled inside (HPolytope.pull_inside)
     before they are scored, so the radii meet M r <= b in floats: the
     value is attained by feasible radii, hence a valid area bound.
+
+    A single point is solved in closed form: its radius lies in
+    [0, min(d_11, r_max)] with r_max <= 1/h, where f(r) = r^2 exp(-2hr)
+    increases, so r = min(d_11, r_max) is the maximum.  A reduced matrix
+    from reduce_distance_matrix has d_11 <= r_max, and then r = d_11 is
+    the one maximal vertex of [0, d_11], the vertex the scan would pick
+    (attaining_vertex 0).
     """
     if objective is None:
         objective = EvaObjective(reduced.h)
@@ -216,6 +223,11 @@ def maximize_eva(
         raise ValueError(
             f"objective h={objective.h} disagrees with reduced matrix h={reduced.h}"
         )
+    if reduced.n == 1:
+        d11 = float(reduced.entries[0, 0])
+        radii = np.array([min(d11, reduced.r_max)])
+        attaining = 0 if radii[0] == d11 else None
+        return EvaResult(objective.value(radii), radii, attaining, True)
     certified = convexity_certified(reduced)
     poly = build_h_polytope(reduced)
     verts = enumerate_vertices(poly, maximal=certified)
@@ -566,7 +578,8 @@ def evA_exact_from_matrix(
     r_max = min(1/h, the domain's radius cap) as well; a singleton's
     budget is min(boundary distance, r_max).  R is the reduced matrix of
     the full set, reduced once: a reduced entry depends only on its own
-    pair of points, so it equals the entry of the subset's polytope.
+    pair of points, so it equals the entry of the subset's polytope, and
+    each subset solved is sliced out of R (_sub_problem).
     f(r) = r^2 exp(-2 h r) increases on [0, 1/h], so
     UB(S) = sum_i pi theta_i f(u_i(S)) bounds eva(S), also when the local
     ascent runs outside the convex regime.  For |S| >= 2 the bound is
@@ -605,19 +618,14 @@ def evA_exact_from_matrix(
         )
     objective = EvaObjective(h, weights)
     reduced = reduce_distance_matrix(matrix, h)
-    subsets = [
-        subset
-        for size in range(1, n + 1)
-        for subset in itertools.combinations(range(n), size)
-    ]
-    bounds = _subset_upper_bounds(matrix, reduced, objective, subsets)
+    members = _subset_table(n)
+    bounds = _subset_upper_bounds(matrix, reduced, objective, members)
     best_k, best, scored = -1, None, 0
     for k in np.argsort(-bounds, kind="stable"):
         if best is not None and bounds[k] * (1.0 + _PRUNE_RTOL) < best.value:
             break
-        subset = subsets[k]
-        sub_reduced = reduce_distance_matrix(matrix.submatrix(subset), h)
-        res = maximize_eva(sub_reduced, objective.subset(subset))
+        subset = np.flatnonzero(members[k])
+        res = maximize_eva(_sub_problem(matrix, reduced, subset), objective.subset(subset))
         scored += 1
         # Subsets are indexed smallest first, then lexicographically.
         if best is None or res.value > best.value or (
@@ -625,8 +633,33 @@ def evA_exact_from_matrix(
         ):
             best_k, best = k, res
     assert best is not None
-    return EvaAResult(
-        best.value, subsets[best_k], best.radii, "exact", subsets_scored=scored
+    subset = tuple(np.flatnonzero(members[best_k]).tolist())
+    return EvaAResult(best.value, subset, best.radii, "exact", subsets_scored=scored)
+
+
+def _sub_problem(
+    matrix: DistanceMatrix, reduced: ReducedDistanceMatrix, subset
+) -> ReducedDistanceMatrix:
+    """reduce_distance_matrix(matrix.submatrix(subset), h), bit for bit,
+    sliced from reduced, the reduction of the whole set at that h.
+
+    A reduced pair entry depends only on its own two points (see
+    evA_exact_from_matrix), so two or more points take their block of
+    reduced.  A single point's entry is min(boundary distance, r_max),
+    the min(boundary distance, 1/h, radius cap) of reduce_distance_matrix;
+    it is +inf only with no boundary, no cap and h = 0, and raises as
+    reduce_distance_matrix does.  The block of a checked matrix passes
+    ReducedDistanceMatrix's checks, so they are not run again.
+    """
+    if len(subset) > 1:
+        entries = reduced.entries[np.ix_(subset, subset)]
+    else:
+        e = min(matrix.boundary_distances[subset[0]], reduced.r_max)
+        if not math.isfinite(e):
+            raise UnboundedInstanceError("single point with no boundary and h = 0: eva is +inf")
+        entries = np.array([[e]])
+    return _unchecked(
+        ReducedDistanceMatrix, entries=entries, h=reduced.h, radius_cap=reduced.radius_cap
     )
 
 
@@ -634,7 +667,7 @@ def _subset_upper_bounds(
     matrix: DistanceMatrix,
     reduced: ReducedDistanceMatrix,
     objective: EvaObjective,
-    subsets: list,
+    members: np.ndarray,
 ) -> np.ndarray:
     """UB(S) tightened by the best pair matching (see evA_exact_from_matrix).
 
@@ -652,13 +685,11 @@ def _subset_upper_bounds(
     sum of gains <= 0 is at most each of them in floats too, so the
     bound never exceeds the one with the single best pair.  The sums are
     gathered in blocks of subsets and of matchings, each block no larger
-    than the (subsets, n, n) budget array built here.
+    than the (subsets, n, n) budget array built here.  members is the
+    0/1 table of the subsets, one row each (_subset_table).
     """
     n = matrix.n
     h, r_max = reduced.h, reduced.r_max
-    members = np.zeros((len(subsets), n), dtype=bool)
-    for k, subset in enumerate(subsets):
-        members[k, list(subset)] = True
     pair = np.where(np.eye(n, dtype=bool), np.inf, reduced.entries)
     budgets = np.min(np.where(members[:, None, :], pair[None], np.inf), axis=2)
     single = np.minimum(matrix.boundary_distances, r_max)
@@ -670,25 +701,25 @@ def _subset_upper_bounds(
     bounds = terms.sum(axis=1)
 
     # Pair gains: one entry per (subset, pair inside it), |S| >= 2 only.
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = pair_indices(n)
     k, p = np.nonzero(members[:, iu] & members[:, ju])
     i, j = iu[p], ju[p]
     theta = objective.thetas(n)
     budget = reduced.entries[i, j]
     pair_max, _, _ = _pair_max(theta[i], theta[j], h, budget, budgets[k, i], budgets[k, j])
     # One row per pair, so each gather below copies whole rows of subsets.
-    gain = np.zeros((len(iu), len(subsets)))
+    gain = np.zeros((len(iu), len(members)))
     gain[p, k] = np.minimum(pair_max - terms[k, i] - terms[k, j], 0.0)
 
     table = _matching_table(n)
-    block = len(subsets) * n * n
+    block = len(members) * n * n
     table_step = max(1, block // max(1, len(iu)))
     row_step = max(1, block // min(len(table), table_step))
-    best = np.zeros(len(subsets))
+    best = np.zeros(len(members))
     # n = 1 has no pair, and its one empty matching adds nothing.
     for t0 in range(0, len(table) if n >= 2 else 0, table_step):
         first, *rest = table[t0:t0 + table_step].T
-        for r0 in range(0, len(subsets), row_step):
+        for r0 in range(0, len(members), row_step):
             rows = slice(r0, r0 + row_step)
             block_gain = gain[:, rows]
             total = block_gain[first]
@@ -701,6 +732,22 @@ def _subset_upper_bounds(
 
 
 @functools.cache
+def _subset_table(n: int) -> np.ndarray:
+    """The nonempty subsets of n points as a read-only boolean table.
+
+    Row k is the membership mask of subset k; subsets come smallest
+    first, then lexicographically, the order of itertools.combinations.
+    Read as a binary number with point 0 as its top bit, a mask orders
+    subsets of one size lexicographically when the numbers decrease.
+    """
+    codes = np.arange(1, 2 ** n)
+    members = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
+    table = members[np.lexsort((-codes, members.sum(axis=1)))]
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
 def _matching_table(n: int) -> np.ndarray:
     """The maximum matchings of K_n as a read-only table of pair indices.
 
@@ -709,7 +756,7 @@ def _matching_table(n: int) -> np.ndarray:
     (n - 1)!! perfect matchings; for odd n one point is left out,
     n (n - 2)!! rows.  n = 1 has one empty row.
     """
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = pair_indices(n)
     index = {(int(a), int(b)): q for q, (a, b) in enumerate(zip(iu, ju))}
     rows: list[list[int]] = []
 
@@ -752,11 +799,12 @@ def evA_algorithm1_from_matrix(
     candidate of the exact search.
     """
     objective = EvaObjective(h, weights)
+    full = reduce_distance_matrix(matrix, h)
     active = list(range(matrix.n))
     best: EvaAResult | None = None
     notes: list[str] = []
     while active:
-        reduced = reduce_distance_matrix(matrix.submatrix(active), h)
+        reduced = _sub_problem(matrix, full, active)
         res = maximize_eva(reduced, objective.subset(active))
         radii = res.radii
         if best is not None and res.value <= best.value:

@@ -9,6 +9,7 @@ entry is clipped by both boundary distances and the curvature cap 1/h.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,8 +35,8 @@ THETA_FACE = 1.0
 # points survive.
 MEMBERSHIP_RTOL = 1e-12
 
-# PointSet rejects configurations whose minimum pairwise distance is below
-# this fraction of the configuration diameter.
+# build_distance_matrix rejects point sets whose minimum pairwise distance
+# is at most this fraction of their diameter, both in the domain's metric.
 COINCIDENCE_RTOL = 1e-9
 
 
@@ -57,6 +58,37 @@ _THETA_BY_CLASS = {
     DensityClass.EDGE: THETA_EDGE,
     DensityClass.FACE: THETA_FACE,
 }
+
+
+def _unchecked(cls, **fields):
+    """An instance of the dataclass cls holding fields as given, without
+    running its __post_init__ checks.
+
+    Only for results built from arrays that have passed those checks
+    already; each builder that uses it says why its result would pass
+    them, and the tests hold every such result to the public constructor.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+@functools.cache
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), read-only: the pairs i < j of n points in
+    row order, built once per n (numpy's takes about 25 us a call)."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def require_curvature(h) -> float:
+    """h as a float; raises ValueError unless it is finite and >= 0."""
+    h = float(h)
+    if not 0.0 <= h < math.inf:
+        raise ValueError("curvature bound h must be finite and >= 0")
+    return h
 
 
 def as_points(p) -> np.ndarray:
@@ -116,11 +148,19 @@ class Domain:
 
     def contains(self, p):
         """Whether each point lies in the domain (within the tolerance)."""
-        return _answer(np.ones(as_points(p).shape[:-1], dtype=bool))
+        return _answer(self._contains(as_points(p)))
+
+    def _contains(self, a: np.ndarray) -> np.ndarray:
+        """contains of an (..., 3) array of finite points."""
+        return np.ones(a.shape[:-1], dtype=bool)
 
     def boundary_distance(self, p):
         """Distance from each member point to the domain boundary."""
-        return _answer(np.full(self.require_member(p).shape[:-1], math.inf))
+        return _answer(self._boundary_distance(self.require_member(p)))
+
+    def _boundary_distance(self, a: np.ndarray) -> np.ndarray:
+        """boundary_distance of an (..., 3) array of checked members."""
+        return np.full(a.shape[:-1], math.inf)
 
     def distance(self, p, q):
         """Distance between member points, pair by pair after broadcasting."""
@@ -140,7 +180,7 @@ class Domain:
     def require_member(self, p) -> np.ndarray:
         """The points as an (..., 3) array; raises naming the first outsider."""
         a = as_points(p)
-        outside = ~np.asarray(self.contains(a))
+        outside = ~self._contains(a)
         if np.any(outside):
             raise DomainMembershipError(
                 f"point {a[outside][0].tolist()} is outside the {self.kind} domain"
@@ -168,12 +208,11 @@ class Ball(Domain):
     def scale(self) -> float:
         return self.radius
 
-    def contains(self, p):
-        return _answer(_length(as_points(p) - self.center) <= self.radius + self._tol())
+    def _contains(self, a: np.ndarray) -> np.ndarray:
+        return _length(a - self.center) <= self.radius + self._tol()
 
-    def boundary_distance(self, p):
-        a = self.require_member(p)
-        return _answer(np.maximum(0.0, self.radius - _length(a - self.center)))
+    def _boundary_distance(self, a: np.ndarray) -> np.ndarray:
+        return np.maximum(0.0, self.radius - _length(a - self.center))
 
     def scaled(self, factor: float) -> "Ball":
         return Ball(self.center * factor, self.radius * factor)
@@ -199,16 +238,14 @@ class Box(Domain):
     def scale(self) -> float:
         return float(np.max(self.max_corner - self.min_corner))
 
-    def contains(self, p):
-        a = as_points(p)
+    def _contains(self, a: np.ndarray) -> np.ndarray:
         tol = self._tol()
         inside = (a >= self.min_corner - tol) & (a <= self.max_corner + tol)
-        return _answer(np.all(inside, axis=-1))
+        return np.all(inside, axis=-1)
 
-    def boundary_distance(self, p):
-        a = self.require_member(p)
+    def _boundary_distance(self, a: np.ndarray) -> np.ndarray:
         gaps = np.concatenate([a - self.min_corner, self.max_corner - a], axis=-1)
-        return _answer(np.maximum(0.0, np.min(gaps, axis=-1)))
+        return np.maximum(0.0, np.min(gaps, axis=-1))
 
     def scaled(self, factor: float) -> "Box":
         return Box(self.min_corner * factor, self.max_corner * factor)
@@ -250,13 +287,11 @@ class HalfspaceIntersection(Domain):
         """n.x for every normal, last axis; rounds like normals @ x for one x."""
         return (self.normals @ a[..., None])[..., 0]
 
-    def contains(self, p):
-        heights = self._heights(as_points(p))
-        return _answer(np.all(heights <= self.offsets + self._tol(), axis=-1))
+    def _contains(self, a: np.ndarray) -> np.ndarray:
+        return np.all(self._heights(a) <= self.offsets + self._tol(), axis=-1)
 
-    def boundary_distance(self, p):
-        heights = self._heights(self.require_member(p))
-        return _answer(np.maximum(0.0, np.min(self.offsets - heights, axis=-1)))
+    def _boundary_distance(self, a: np.ndarray) -> np.ndarray:
+        return np.maximum(0.0, np.min(self.offsets - self._heights(a), axis=-1))
 
     def scaled(self, factor: float) -> "HalfspaceIntersection":
         return HalfspaceIntersection(self.normals.copy(), self.offsets * factor)
@@ -331,9 +366,9 @@ class AllSpace(Domain):
 class PointSet:
     """Ordered candidate foam vertices, with one density class per point.
 
-    Points must be pairwise distinct: configurations whose minimum pairwise
-    distance falls below 1e-9 times the diameter force zero radii and
-    degenerate polytopes downstream, so they are rejected here.
+    Coincident points are rejected by build_distance_matrix, which
+    measures them in the domain's metric (on a torus two coordinates a
+    period apart are one point).
     """
 
     points: np.ndarray
@@ -353,22 +388,6 @@ class PointSet:
             raise ValueError("need one density class per point")
         if self.labels is not None and len(self.labels) != len(pts):
             raise ValueError("need one label per point when labels are given")
-        self._check_distinct()
-
-    def _check_distinct(self):
-        n = len(self.points)
-        if n == 1:
-            return
-        diffs = self.points[:, None, :] - self.points[None, :, :]
-        dists = np.linalg.norm(diffs, axis=2)
-        iu = np.triu_indices(n, k=1)
-        min_d = float(np.min(dists[iu]))
-        diameter = float(np.max(dists))
-        if min_d <= COINCIDENCE_RTOL * diameter:
-            raise ValueError(
-                f"points too close: minimum pairwise distance {min_d:g} "
-                f"below {COINCIDENCE_RTOL:g} of diameter {diameter:g}"
-            )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -423,9 +442,18 @@ class DistanceMatrix:
         return self.entries[: self.n, self.n]
 
     def submatrix(self, indices) -> "DistanceMatrix":
-        """Matrix for a subset of points, keeping the boundary row/column."""
-        idx = list(indices) + [self.n]
-        return DistanceMatrix(self.entries[np.ix_(idx, idx)], self.radius_cap)
+        """Matrix for a subset of points, keeping the boundary row/column.
+
+        A principal submatrix of a checked matrix passes every check of
+        the constructor, so only the subset itself is checked.
+        """
+        idx = list(indices)
+        if not idx:
+            raise ValueError("a submatrix needs at least one point")
+        idx.append(self.n)
+        return _unchecked(
+            DistanceMatrix, entries=self.entries[np.ix_(idx, idx)], radius_cap=self.radius_cap
+        )
 
 
 @dataclass(eq=False)
@@ -455,9 +483,7 @@ class ReducedDistanceMatrix:
             raise UnboundedInstanceError(
                 "reduced matrix has infinite entries; the area bound is +inf"
             )
-        self.h = float(self.h)
-        if not self.h >= 0:
-            raise ValueError("curvature bound h must be >= 0")
+        self.h = require_curvature(self.h)
         self.radius_cap = float(self.radius_cap)
         if not self.radius_cap > 0:
             raise ValueError(f"radius cap must be positive, got {self.radius_cap}")
@@ -477,15 +503,31 @@ class ReducedDistanceMatrix:
 def build_distance_matrix(point_set: PointSet, domain: Domain) -> DistanceMatrix:
     """Assemble the (N+1) x (N+1) distance matrix for a point set.
 
-    The result is exactly symmetric: swapping two points only flips the
-    signs of their displacement, which leaves its rounded length alone.
+    Membership in the domain is checked once, and the points must be
+    pairwise distinct in the domain's metric: a minimum pairwise distance
+    at most COINCIDENCE_RTOL times the largest one names the pair and
+    raises ValueError (coincident points force zero radii and degenerate
+    polytopes downstream).  The result is exactly symmetric: swapping two
+    points only flips the signs of their displacement, which leaves its
+    rounded length alone.  Its diagonal is zero, its entries are lengths
+    or boundary distances (nonnegative, no NaN for finite members) and the
+    domain's radius cap is positive, so it passes DistanceMatrix's checks.
     """
     pts = domain.require_member(point_set.points)
     n = len(pts)
     entries = np.zeros((n + 1, n + 1))
-    entries[:n, :n] = domain.distance(pts[:, None], pts[None])
-    entries[:n, n] = entries[n, :n] = domain.boundary_distance(pts)
-    return DistanceMatrix(entries, domain.radius_cap)
+    pair = entries[:n, :n]
+    pair[...] = _length(domain._delta(pts[:, None], pts[None]))
+    # The first minimum in row order has i < j; one point has none (+inf).
+    i, j = divmod(int(np.argmin(np.where(np.eye(n, dtype=bool), np.inf, pair))), n)
+    diameter = float(np.max(pair))
+    if i != j and pair[i, j] <= COINCIDENCE_RTOL * diameter:
+        raise ValueError(
+            f"points {i} and {j} coincide in the {domain.kind} domain: distance "
+            f"{pair[i, j]:g} is at most {COINCIDENCE_RTOL:g} of the diameter {diameter:g}"
+        )
+    entries[:n, n] = entries[n, :n] = domain._boundary_distance(pts)
+    return _unchecked(DistanceMatrix, entries=entries, radius_cap=float(domain.radius_cap))
 
 
 def reduce_distance_matrix(matrix: DistanceMatrix, h: float) -> ReducedDistanceMatrix:
@@ -493,21 +535,22 @@ def reduce_distance_matrix(matrix: DistanceMatrix, h: float) -> ReducedDistanceM
 
     Args:
         matrix: full distance matrix including the boundary row/column.
-        h: curvature bound, >= 0.  h = 0 means no curvature cap 1/h.
+        h: curvature bound, finite and >= 0.  h = 0 means no curvature
+            cap 1/h.
 
     Pair entries are clipped at 1/h only: clipping them at the matrix's
     radius_cap too would be sound but weaker, and the cap rows of the
     radii polytope (ReducedDistanceMatrix.r_max) already enforce it.  A
     single point's entry is min(boundary distance, 1/h, radius_cap).
+    The minima of a symmetric nonnegative matrix are symmetric and
+    nonnegative, so only finiteness is left to check.
 
     Raises:
         UnboundedInstanceError: if some budget comes out infinite (no
             boundary or radius cap anywhere and h = 0 for a single
             point), which means the extrinsic vertex area is +inf.
     """
-    h = float(h)
-    if not h >= 0:
-        raise ValueError("curvature bound h must be >= 0")
+    h = require_curvature(h)
     r_max = math.inf if h == 0.0 else 1.0 / h
     n = matrix.n
     bd = matrix.boundary_distances
@@ -517,12 +560,19 @@ def reduce_distance_matrix(matrix: DistanceMatrix, h: float) -> ReducedDistanceM
             raise UnboundedInstanceError(
                 "single point with no boundary and h = 0: eva is +inf"
             )
-        return ReducedDistanceMatrix(np.array([[e]]), h, matrix.radius_cap)
-    pair = matrix.entries[:n, :n]
-    caps = np.minimum(bd[:, None], bd[None, :])
-    reduced = np.minimum(np.minimum(pair, caps), r_max)
-    np.fill_diagonal(reduced, 0.0)
-    return ReducedDistanceMatrix(reduced, h, matrix.radius_cap)
+        reduced = np.array([[e]])
+    else:
+        pair = matrix.entries[:n, :n]
+        caps = np.minimum(bd[:, None], bd[None, :])
+        reduced = np.minimum(np.minimum(pair, caps), r_max)
+        np.fill_diagonal(reduced, 0.0)
+        if not np.all(np.isfinite(reduced)):
+            raise UnboundedInstanceError(
+                "reduced matrix has infinite entries; the area bound is +inf"
+            )
+    return _unchecked(
+        ReducedDistanceMatrix, entries=reduced, h=h, radius_cap=matrix.radius_cap
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +581,21 @@ def reduce_distance_matrix(matrix: DistanceMatrix, h: float) -> ReducedDistanceM
 
 @dataclass(eq=False)
 class Instance:
-    """A problem instance: points, their domain, and the curvature bound."""
+    """A problem instance: points, their domain, and the curvature bound.
+
+    Construction checks h (finite, >= 0) and builds the distance matrix,
+    which checks that every point lies in the domain and that no two
+    coincide; the matrix is kept for the instance's users.
+    """
 
     point_set: PointSet
     domain: Domain
     h: float = 0.0
+    matrix: DistanceMatrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.h = require_curvature(self.h)
+        self.matrix = build_distance_matrix(self.point_set, self.domain)
 
     def to_json(self) -> dict:
         obj = {
@@ -575,7 +635,8 @@ def load_instance(source) -> Instance:
 
     Schema: {"points": [[x,y,z], ...], "classes": ["vertex", ...]
     (optional), "labels": [...] (optional), "domain": {"type": ...},
-    "h": number (optional, default 0)}.
+    "h": number (optional, default 0, finite)}.  The Instance built
+    checks h, domain membership and distinct points.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as f:
@@ -587,8 +648,4 @@ def load_instance(source) -> Instance:
     classes = [DensityClass(c) for c in obj["classes"]] if "classes" in obj else []
     point_set = PointSet(np.array(obj["points"], dtype=float), classes, obj.get("labels"))
     domain = domain_from_json(obj["domain"])
-    h = float(obj.get("h", 0.0))
-    if not h >= 0:
-        raise ValueError("curvature bound h must be >= 0")
-    domain.require_member(point_set.points)
-    return Instance(point_set, domain, h)
+    return Instance(point_set, domain, obj.get("h", 0.0))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import main_theorem_bound
 from .errors import MeshFormatError, MeshInvariantError
-from .geometry import ARCCOS_THIRD, DensityClass, as_point
+from .geometry import ARCCOS_THIRD, DensityClass, as_point, require_curvature
 
 _DEGENERATE_AREA_RTOL = 1e-12
 # Generous count of the roundings between the input coordinates and one
@@ -166,9 +166,7 @@ class DiscProbe:
         self.radius = float(self.radius)
         if not self.radius > 0:
             raise ValueError("probe radius must be positive")
-        self.h = float(self.h)
-        if not self.h >= 0:
-            raise ValueError("curvature bound h must be >= 0")
+        self.h = require_curvature(self.h)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +522,9 @@ class InequalityReport:
     lhs: float
     rhs: float
     passed: bool
-    ratio: float
+    # clipped_area / rhs; None (JSON null) when rhs underflows to 0.0, as
+    # it does once 2 h R is beyond about 745.
+    ratio: float | None
     eps: float
 
     def to_json(self) -> dict:
@@ -547,7 +547,8 @@ def verify_main_inequality(
     The area is the closed-form clipped area; its uncertainty bounds the
     floating-point rounding.  The left side subtracts the larger of the
     error budget and that bound, so a pass is a certified numerical
-    verification, not a point estimate.
+    verification, not a point estimate.  The ratio is clipped_area / rhs,
+    or None when rhs underflows to 0.0.
     """
     value, uncertainty = _clipped_area_detail(mesh, probe, eps)
     rhs = main_theorem_bound(probe.density_class.theta, probe.h, probe.radius)
@@ -558,7 +559,7 @@ def verify_main_inequality(
         lhs=lhs,
         rhs=rhs,
         passed=lhs >= rhs,
-        ratio=value / rhs,
+        ratio=value / rhs if rhs else None,
         eps=eps,
     )
 

@@ -6,7 +6,8 @@ The feasible radii for N points form the polytope
 
 described here by rows of a {-1, 0, +1} matrix M with M r <= b.  A
 row's kind is its pattern (two +1 entries: pair row, one +1: cap row,
-one -1: nonneg row), and HPolytope checks the shape once.  Two vertex
+one -1: nonneg row), and HPolytope checks the shape of outside arrays
+(build_h_polytope's rows have it by construction).  Two vertex
 enumerators are provided: a combinatorial active-set scan (the
 reference: every size-N row subset is solved and feasibility-filtered)
 and a polar-dual route (in the budget frame below, shift by an interior
@@ -88,7 +89,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DegeneratePolytopeError, NumericalError, UnboundedInstanceError
-from .geometry import ReducedDistanceMatrix
+from .geometry import ReducedDistanceMatrix, _unchecked, pair_indices
 
 _log = logging.getLogger(__name__)
 
@@ -105,8 +106,12 @@ ROUNDING_TOL = 4.0 * np.finfo(float).eps
 # route instead of the combinatorial scan: the measured crossover, the two
 # being even at C(9, 3) = 84 and the dual route faster from C(10, 4) = 210.
 _AUTO_COMBINATORIAL_LIMIT = 100
-_COMBINATORIAL_HARD_LIMIT = 20_000_000
-_CHUNK = 65_536
+# Largest scan, solved as one batch: its (subsets, n, n) stack stays
+# below 34 MB up to n = 8.  The route rule sends at most
+# _AUTO_COMBINATORIAL_LIMIT subsets (one per row when n <= 1); larger
+# scans come from the fallback after a failed hull, which raises
+# NumericalError beyond this, and from test oracles (54,264 at most).
+_COMBINATORIAL_HARD_LIMIT = 65_536
 
 
 @dataclass(eq=False)
@@ -186,21 +191,23 @@ def build_h_polytope(reduced: ReducedDistanceMatrix) -> HPolytope:
 
     Rows, in order: r_i + r_j <= d_ij for i < j, then -r_i <= 0 for all i,
     then r_i <= r_max for all i when r_max is finite.  A single point
-    yields the interval [0, d_11].
+    yields the interval [0, d_11].  Every row has one of the three
+    shapes, every coordinate has a pair or cap row (n >= 2 gives each a
+    pair row) and a nonneg row, and the reduced entries are nonnegative,
+    so the system passes HPolytope's checks without running them.
     """
     n = reduced.n
     if n == 1:
         d11 = float(reduced.entries[0, 0])
-        return HPolytope(np.array([[1.0], [-1.0]]), np.array([d11, 0.0]))
-    pairs = list(itertools.combinations(range(n), 2))
-    iu, ju = np.array(pairs).T
+        return _unchecked(HPolytope, M=np.array([[1.0], [-1.0]]), b=np.array([d11, 0.0]))
+    iu, ju = pair_indices(n)
     eye = np.eye(n)
     rows = [eye[iu] + eye[ju], np.diag(np.full(n, -1.0))]
     rhs = [reduced.entries[iu, ju], np.zeros(n)]
     if math.isfinite(reduced.r_max):
         rows.append(eye)
         rhs.append(np.full(n, reduced.r_max))
-    return HPolytope(np.vstack(rows), np.concatenate(rhs))
+    return _unchecked(HPolytope, M=np.vstack(rows), b=np.concatenate(rhs))
 
 
 def interior_point(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -327,7 +334,9 @@ def _combinatorial_vertices(M: np.ndarray, b: np.ndarray, feas_tol: np.ndarray) 
     M has integer entries, so a subset is nonsingular exactly when its
     determinant is at least 1 in magnitude; the 0.5 threshold below is an
     exact rank test, not a tolerance.  feas_tol holds one tolerance per
-    row.  With n = 0 the one empty subset gives the empty point.
+    row.  With n = 0 the one empty subset gives the empty point.  All
+    C(m, n) subsets are solved as one batch, at most
+    _COMBINATORIAL_HARD_LIMIT of them.
     """
     m, n = M.shape
     total = math.comb(m, n)
@@ -336,25 +345,11 @@ def _combinatorial_vertices(M: np.ndarray, b: np.ndarray, feas_tol: np.ndarray) 
             f"combinatorial enumeration would scan {total} row subsets; "
             "instance is too large for the reference method"
         )
-    found = []
-    combo_iter = itertools.combinations(range(m), n)
-    while True:
-        chunk = list(itertools.islice(combo_iter, _CHUNK))
-        if not chunk:
-            break
-        idx = np.array(chunk, dtype=np.intp)
-        sub_m = M[idx]
-        sub_b = b[idx]
-        keep = np.abs(np.linalg.det(sub_m)) > 0.5
-        if not np.any(keep):
-            continue
-        sols = np.linalg.solve(sub_m[keep], sub_b[keep][..., None])[..., 0]
-        feasible = np.all(sols @ M.T <= b + feas_tol, axis=1)
-        if np.any(feasible):
-            found.append(sols[feasible])
-    if not found:
-        return np.empty((0, n))
-    return np.vstack(found)
+    idx = np.array(list(itertools.combinations(range(m), n)), dtype=np.intp).reshape(total, n)
+    sub_m = M[idx]
+    keep = np.abs(np.linalg.det(sub_m)) > 0.5
+    sols = np.linalg.solve(sub_m[keep], b[idx[keep], None])[..., 0]
+    return sols[np.all(sols @ M.T <= b + feas_tol, axis=1)]
 
 
 def _dual_transform_vertices(M: np.ndarray, b: np.ndarray, feas_tol: np.ndarray) -> np.ndarray:

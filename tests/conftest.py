@@ -64,14 +64,10 @@ def worked_matrix() -> DistanceMatrix:
 def random_point_set(rng: np.random.Generator, n: int, ball_radius: float = 1.0,
                      margin: float = 0.95) -> PointSet:
     """Points uniform in a ball, kept strictly away from the boundary."""
-    while True:
-        directions = rng.normal(size=(n, 3))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        radii = ball_radius * margin * rng.random(n) ** (1.0 / 3.0)
-        try:
-            return PointSet(directions * radii[:, None])
-        except ValueError:
-            continue  # coincident draw, try again
+    directions = rng.normal(size=(n, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = ball_radius * margin * rng.random(n) ** (1.0 / 3.0)
+    return PointSet(directions * radii[:, None])
 
 
 def random_instance(rng: np.random.Generator, n: int, ball_radius: float = 1.0):

@@ -11,6 +11,7 @@ from foambounds import (
     DensityClass,
     DiscProbe,
     DistanceMatrix,
+    Domain,
     EvaObjective,
     PressureInput,
     ReducedDistanceMatrix,
@@ -24,7 +25,7 @@ from foambounds import (
 from foambounds.cli import main
 from foambounds.geometry import THETA_V_PI
 from foambounds.meshcheck import save_off
-from foambounds.meshes import tetrahedral_cone, triple_wedge
+from foambounds.meshes import flat_sheet, tetrahedral_cone, triple_wedge
 
 WORKED_INSTANCE = {
     "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]],
@@ -393,6 +394,90 @@ def test_nan_inputs_exit_2_without_nan_output(argv, instance_path, tmp_path, cap
     assert captured.out == ""
     assert "validation error" in captured.err
     assert "NaN" not in captured.err and "nan" not in captured.err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eva", "--input", "{instance}", "--h", "inf"],
+    ["eva-exact", "--input", "{instance}", "--h", "inf"],
+    ["eva-greedy", "--input", "{instance}", "--h", "inf"],
+    ["eva", "--input", "{inf_instance}"],
+    ["eva-exact", "--input", "{inf_instance}"],
+    ["eva-greedy", "--input", "{inf_instance}"],
+    ["eva", "--input", "{inf_matrix}"],
+    MESH_VERIFY + ["--h", "inf"],
+], ids=" ".join)
+def test_infinite_h_exits_2(argv, instance_path, tmp_path, capsys):
+    # exp(-2 h r) at h = inf and r = 0 is NaN, which is not JSON.
+    mesh = tmp_path / "cone.off"
+    save_off(tetrahedral_cone(2.5), mesh)
+    inf_instance = tmp_path / "inf_h.json"
+    inf_instance.write_text(json.dumps({**WORKED_INSTANCE, "h": math.inf}))
+    assert "Infinity" in inf_instance.read_text()  # Python's json reads it back
+    inf_matrix = tmp_path / "inf_matrix.json"
+    inf_matrix.write_text(json.dumps({"distance_matrix": [[0, 4], [4, 0]], "h": math.inf}))
+    paths = {"mesh": mesh, "inf_instance": inf_instance, "inf_matrix": inf_matrix,
+             "instance": instance_path}
+    assert run([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error: curvature bound h must be finite" in captured.err
+
+
+@pytest.mark.parametrize("func, args", [
+    (load_instance, ({**WORKED_INSTANCE, "h": math.inf},)),
+    (reduce_distance_matrix, (DistanceMatrix(np.array([[0.0, 4.0], [4.0, 0.0]])), math.inf)),
+    (ReducedDistanceMatrix, (np.array([[1.0]]), math.inf)),
+    (EvaObjective, (math.inf,)),
+    (DiscProbe, ((0.0, 0.0, 0.0), 1.0, DensityClass.FACE, math.inf)),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_infinite_h_raises_value_error(func, args):
+    with pytest.raises(ValueError, match="curvature bound h must be finite"):
+        func(*args)
+
+
+def test_mesh_verify_reports_null_ratio_when_the_bound_underflows(tmp_path):
+    # exp(-2 * 2000 * 0.3) underflows, so the bound is 0.0 and the ratio
+    # area / bound has no value.
+    mesh = tmp_path / "sheet.off"
+    save_off(flat_sheet(), mesh)
+    out = tmp_path / "report.json"
+    assert run(["mesh-verify", "--input", str(mesh), "--center", "0,0,0", "--radius", "0.3",
+                "--h", "2000", "--output", str(out)]) == 0
+    report = read_report(out)
+    assert report["rhs"] == 0.0 and report["ratio"] is None
+    assert report["passed"] is True
+    assert report["clipped_area"] == pytest.approx(math.pi * 0.09, rel=1e-9)
+    assert '"ratio": null' in out.read_text()
+
+
+@pytest.mark.parametrize("points, domain, pair", [
+    ([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]],
+     {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}, "1 and 2"),
+    ([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]],
+     {"type": "periodic", "lengths": [1.0, 1.0, 1.0]}, "0 and 2"),
+], ids=["euclidean", "periodic-image"])
+@pytest.mark.parametrize("command", ["eva", "eva-exact", "eva-greedy"])
+def test_duplicate_points_exit_2(command, points, domain, pair, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"points": points, "domain": domain, "h": 0.3}))
+    assert run([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"validation error: points {pair} coincide" in captured.err
+
+
+@pytest.mark.parametrize("command", ["eva", "eva-exact", "eva-greedy"])
+def test_cli_checks_domain_membership_once(command, instance_path, monkeypatch, capsys):
+    calls = []
+    check = Domain.require_member
+
+    def counted(self, p):
+        calls.append(np.shape(p))
+        return check(self, p)
+
+    monkeypatch.setattr(Domain, "require_member", counted)
+    assert run([command, "--input", instance_path]) == 0
+    assert calls == [(3, 3)]
 
 
 @pytest.mark.parametrize("func, args", [

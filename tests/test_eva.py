@@ -1,5 +1,6 @@
 """The extrinsic vertex area objective, its maximizer, and subset search."""
 
+import dataclasses
 import functools
 import itertools
 import logging
@@ -42,6 +43,8 @@ from foambounds.eva import (
     _multistart_ascent,
     _pair_max,
     _pair_stationary,
+    _sub_problem,
+    _subset_table,
     _subset_upper_bounds,
     _triple_max,
 )
@@ -785,6 +788,26 @@ def best_matching(m, gains):
     return best(tuple(range(m)))
 
 
+def all_subsets(n):
+    """The nonempty subsets of n points, smallest first, then lexicographically."""
+    return [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
+
+
+def membership(subsets, n):
+    """The 0/1 table _subset_upper_bounds takes, one row per subset."""
+    members = np.zeros((len(subsets), n), dtype=bool)
+    for k, subset in enumerate(subsets):
+        members[k, list(subset)] = True
+    return members
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_subset_table_lists_subsets_in_search_order(n):
+    table = _subset_table(n)
+    assert not table.flags.writeable
+    assert np.array_equal(table, membership(all_subsets(n), n))
+
+
 def assert_bounds_cover_subsets(matrix, h, objective):
     """Every subset's matching bound covers its eva up to the search's
     pruning margin, is at most the bound with the single best pair
@@ -792,8 +815,8 @@ def assert_bounds_cover_subsets(matrix, h, objective):
     1e-6."""
     n = matrix.n
     reduced = reduce_distance_matrix(matrix, h)
-    subsets = [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
-    bounds = _subset_upper_bounds(matrix, reduced, objective, subsets)
+    subsets = all_subsets(n)
+    bounds = _subset_upper_bounds(matrix, reduced, objective, membership(subsets, n))
     for subset, bound in zip(subsets, bounds):
         sub = reduce_distance_matrix(matrix.submatrix(subset), h)
         assert bound * (1.0 + _PRUNE_RTOL) >= maximize_eva(sub, objective.subset(subset)).value
@@ -859,8 +882,8 @@ def test_chunked_matching_bound_matches_per_subset_recursion():
         matrix = random_distance_matrix(rng, n, ball_radius=1.0)
         objective = EvaObjective(h, rng.choice(MIXED_THETAS, size=n))
         reduced = reduce_distance_matrix(matrix, h)
-        subsets = [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
-        bounds = _subset_upper_bounds(matrix, reduced, objective, subsets)
+        subsets = all_subsets(n)
+        bounds = _subset_upper_bounds(matrix, reduced, objective, membership(subsets, n))
         sample = [k for k, s in enumerate(subsets) if len(s) >= n - 1]
         sample += list(rng.choice(len(subsets) - n - 1, size=40, replace=False))
         for k in sample:
@@ -1123,7 +1146,7 @@ def test_evA_exact_pruned_matches_exhaustive_oracle_where_matching_prunes():
         res = assert_matches_oracle(matrix, h, weights)
         objective, reduced = EvaObjective(h, weights), reduce_distance_matrix(matrix, h)
         subsets = [s for size in range(4, 8) for s in itertools.combinations(range(7), size)]
-        bounds = _subset_upper_bounds(matrix, reduced, objective, subsets)
+        bounds = _subset_upper_bounds(matrix, reduced, objective, membership(subsets, 7))
         skipped = 0
         for subset, bound in zip(subsets, bounds):
             if convexity_certified(reduce_distance_matrix(matrix.submatrix(subset), h)):
@@ -1273,3 +1296,141 @@ def test_algorithm1_scores_subsets_like_exact_outside_convex_regime():
         sub = reduce_distance_matrix(matrix.submatrix(res.surviving_subset), 3.0)
         assert res.value == maximize_eva(sub).value
         assert res.value <= evA_exact_from_matrix(matrix, 3.0).value
+
+
+# --- one point in closed form, sliced sub-problems ------------------------------
+
+
+def scan_best(reduced, objective, maximal):
+    """The vertex scan maximize_eva runs for two or more points: best
+    vertex (first in lex order on ties), its index and value."""
+    verts = enumerate_vertices(build_h_polytope(reduced), maximal=maximal)
+    values = objective.values(verts)
+    best = int(np.argmax(values))
+    return verts[best], best, objective.value(verts[best])
+
+
+SINGLE_POINT_CASES = {
+    "ball interior": (Ball(np.zeros(3), 1.0), [0.4, 0.0, 0.0]),
+    "periodic cap": (PeriodicBox((1.0, 2.0, 3.0)), [5.0, -1.0, 0.25]),
+    "box": (Box((-1, -1, -1), (1, 1, 1)), [0.0, 0.9, 0.0]),
+    "zero budget": (Ball(np.zeros(3), 1.0), [0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", SINGLE_POINT_CASES)
+@pytest.mark.parametrize("h", [0.0, 0.3, 3.0])
+def test_single_point_closed_form_matches_the_vertex_scan(case, h):
+    domain, point = SINGLE_POINT_CASES[case]
+    reduced = reduce_distance_matrix(build_distance_matrix(PointSet([point]), domain), h)
+    assert convexity_certified(reduced)
+    for weights in (None, [THETA_EDGE]):
+        objective = EvaObjective(h, weights)
+        res = maximize_eva(reduced, objective)
+        radii, index, value = scan_best(reduced, objective, maximal=True)
+        assert res.value == value
+        assert res.radii.tobytes() == radii.tobytes()
+        assert res.attaining_vertex == index == 0
+        assert res.convexity_certified
+        # Every vertex of [0, d_11] peaks at the same radius.
+        assert scan_best(reduced, objective, maximal=False)[0].tobytes() == radii.tobytes()
+    if case == "periodic cap":
+        assert res.radii[0] == min(0.5, 1.0 / h if h else math.inf)
+    if case == "zero budget":
+        assert res.value == 0.0 and res.radii.tolist() == [0.0]
+
+
+def test_single_point_above_its_radius_cap_takes_the_cap():
+    # Only a hand-made reduced matrix puts d_11 above r_max; the radius
+    # is then the cap, where f still increases, off the scanned vertices.
+    reduced = ReducedDistanceMatrix(np.array([[0.9]]), 1.0, radius_cap=0.5)
+    res = maximize_eva(reduced)
+    assert res.radii.tolist() == [0.5]
+    assert res.attaining_vertex is None and res.convexity_certified
+    assert res.value == EvaObjective(1.0).value([0.5])
+
+
+def assert_passes_constructor(obj):
+    """obj's fields, handed to its class's checking constructor, come back
+    unchanged: same types, and arrays with the same dtype, shape and bits."""
+    fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    checked = type(obj)(**{k: v.copy() if isinstance(v, np.ndarray) else v
+                           for k, v in fields.items()})
+    for name, value in fields.items():
+        again = getattr(checked, name)
+        assert type(again) is type(value), name
+        if isinstance(value, np.ndarray):
+            assert again.dtype == value.dtype and again.shape == value.shape, name
+            assert again.tobytes() == value.tobytes(), name
+        else:
+            assert again == value or (value is None and again is None), name
+
+
+FAMILY_DOMAINS = (
+    Ball(np.zeros(3), 1.0),
+    Box((-1, -1, -1), (1, 1, 1)),
+    PeriodicBox((1.0, 1.5, 2.0)),
+    AllSpace(),
+)
+
+
+def random_family(rng):
+    """(matrix, h, weights) over N = 1..8 points in each domain; every
+    other set puts its first point on the unit sphere (zero budgets)."""
+    for n in range(1, 9):
+        for d, domain in enumerate(FAMILY_DOMAINS):
+            points = random_point_set(rng, n).points
+            if (n + d) % 2:
+                points[0] = points[0] / np.linalg.norm(points[0])
+            matrix = build_distance_matrix(PointSet(points), domain)
+            for h in (0.0, 0.3, 3.0):
+                yield matrix, h, rng.choice(MIXED_THETAS, size=n)
+
+
+def test_built_objects_pass_the_public_constructors():
+    # The builders skip the constructors' checks; the constructors stay
+    # the oracle for what they build, on whole sets and on sub-problems.
+    rng = np.random.default_rng(71)
+    for matrix, h, weights in random_family(rng):
+        assert_passes_constructor(matrix)
+        try:
+            reduced = reduce_distance_matrix(matrix, h)
+        except UnboundedInstanceError:
+            assert matrix.n == 1 and h == 0.0
+            continue
+        objective = EvaObjective(h, weights)
+        table = _subset_table(matrix.n)
+        for k in rng.choice(len(table), size=min(len(table), 12), replace=False):
+            subset = np.flatnonzero(table[k])
+            assert_passes_constructor(matrix.submatrix(subset))
+            assert_passes_constructor(objective.subset(subset))
+            try:
+                sub = _sub_problem(matrix, reduced, subset)
+            except UnboundedInstanceError:
+                continue
+            for built in (sub, build_h_polytope(sub), reduce_distance_matrix(
+                    matrix.submatrix(subset), h)):
+                assert_passes_constructor(built)
+        assert_passes_constructor(reduced)
+        assert_passes_constructor(build_h_polytope(reduced))
+
+
+def test_sliced_sub_problems_equal_the_reduced_submatrix_bit_for_bit():
+    rng = np.random.default_rng(72)
+    for matrix, h, _ in random_family(rng):
+        try:
+            reduced = reduce_distance_matrix(matrix, h)
+        except UnboundedInstanceError:
+            continue
+        for members in _subset_table(matrix.n):
+            subset = np.flatnonzero(members)
+            try:
+                want = reduce_distance_matrix(matrix.submatrix(subset), h)
+            except UnboundedInstanceError:
+                with pytest.raises(UnboundedInstanceError):
+                    _sub_problem(matrix, reduced, subset)
+                continue
+            got = _sub_problem(matrix, reduced, subset)
+            assert got.entries.tobytes() == want.entries.tobytes()
+            assert got.entries.shape == want.entries.shape
+            assert (got.h, got.radius_cap, got.r_max) == (want.h, want.radius_cap, want.r_max)

@@ -202,15 +202,29 @@ def test_distance_matrix_scale_covariance(lam):
     assert np.allclose(scaled, lam * base, rtol=1e-12, atol=0.0)
 
 
-def test_point_set_rejects_coincident_points():
-    with pytest.raises(ValueError):
-        PointSet(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+def test_distance_matrix_rejects_coincident_points():
+    points = PointSet(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="points 1 and 2 coincide in the all domain"):
+        build_distance_matrix(points, AllSpace())
 
 
-def test_point_set_rejects_near_coincident_points():
+def test_distance_matrix_rejects_near_coincident_points():
     eps = 1e-12
-    with pytest.raises(ValueError):
-        PointSet(np.array([[0.0, 0.0, 0.0], [eps, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    points = PointSet(np.array([[0.0, 0.0, 0.0], [eps, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="points 0 and 1 coincide"):
+        build_distance_matrix(points, Ball((0, 0, 0), 2.0))
+    # Just above the threshold the pair is two points.
+    points = PointSet(np.array([[0.0, 0.0, 0.0], [2e-9, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    assert build_distance_matrix(points, Ball((0, 0, 0), 2.0)).entries[0, 1] == 2e-9
+
+
+def test_distance_matrix_rejects_periodic_images():
+    # (0, 0, 0) and (1, 0, 0) are one point of the unit torus, though
+    # their coordinates lie a period apart.
+    points = PointSet(np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="points 0 and 2 coincide in the periodic domain"):
+        build_distance_matrix(points, PeriodicBox((1.0, 1.0, 1.0)))
+    assert build_distance_matrix(points, AllSpace()).entries[0, 2] == 1.0
 
 
 def test_point_set_classes_default_and_thetas():
@@ -268,6 +282,7 @@ def test_instance_json_roundtrip(tmp_path):
     inst = load_instance(path)
     matrix = build_distance_matrix(inst.point_set, inst.domain)
     assert np.array_equal(matrix.entries, WORKED_MATRIX)
+    assert np.array_equal(inst.matrix.entries, WORKED_MATRIX)
     # Serialization round-trips through to_json.
     again = load_instance(inst.to_json())
     assert np.array_equal(again.point_set.points, inst.point_set.points)
