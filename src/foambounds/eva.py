@@ -135,10 +135,9 @@ class EvaResult:
 
     value: float
     radii: np.ndarray
-    # Index of the best vertex in the scanned list (the maximal vertices
-    # when the convex regime is certified, every vertex otherwise), or
-    # None when another solve (the two- or three-point solve or the local
-    # ascent) beat every vertex.
+    # Index of the best vertex in the scanned list, the maximal vertices,
+    # or None when another solve (the two- or three-point solve or the
+    # local ascent) beat every vertex.
     attaining_vertex: int | None
     # True when value is a proven maximum: the convex regime or a single
     # point (see convexity_certified), or two or three points (exact pair
@@ -193,22 +192,28 @@ def maximize_eva(
 ) -> EvaResult:
     """Maximize eva over the admissible-radii polytope.
 
+    Face lemma, for every N.  f(r) = r^2 exp(-2hr) strictly increases on
+    [0, 1/h] and r_max <= 1/h.  At a maximum every radius is at r_max or
+    in a tight pair row: otherwise every row through it is slack, and
+    raising it a little stays feasible and, as theta_i > 0, raises the
+    sum.  So the maximum is a maximal point of the polytope (no feasible
+    point dominates it coordinate-wise), and a maximum at a vertex is at
+    a maximal vertex.  Only the maximal vertices are scanned
+    (enumerate_vertices with maximal=True); a dominated vertex neither
+    attains nor ties the maximum, so the lexicographically first best
+    vertex is the same as in the full list.
+
     In the certified regime (h = 0, every reduced entry at most
     (2 - sqrt(2))/h, or a single point; see convexity_certified) the best
-    polytope vertex is the exact maximum, and only the maximal vertices
-    are scanned (enumerate_vertices with maximal=True): every theta_i > 0
-    and r^2 exp(-2hr) strictly increases on [0, 1/h], so a vertex that
-    another feasible point dominates coordinate-wise neither attains nor
-    ties the maximum, and the lexicographically first best vertex is the
-    same in both lists.  Outside that regime every vertex is scanned.  Two
-    points are then solved exactly by _pair_max and three by the face
-    search of _triple_max, each replacing the vertex only when strictly
-    better, and the result is certified.  For four or more points the
-    vertex scan is augmented with deterministic multi-start local ascent,
-    seeded from the vertices, and the better of the two is returned.
-    Candidates off the vertices are pulled inside (HPolytope.pull_inside)
-    before they are scored, so the radii meet M r <= b in floats: the
-    value is attained by feasible radii, hence a valid area bound.
+    vertex is the exact maximum.  Outside it two points are solved
+    exactly by _pair_max and three by the face search of _triple_max,
+    each replacing the vertex only when strictly better, and the result
+    is certified.  For four or more points the vertex scan is augmented
+    with deterministic multi-start local ascent, seeded from the maximal
+    vertices, and the better of the two is returned.  Candidates off the
+    vertices are pulled inside (HPolytope.pull_inside) before they are
+    scored, so the radii meet M r <= b in floats: the value is attained
+    by feasible radii, hence a valid area bound.
 
     A single point is solved in closed form: its radius lies in
     [0, min(d_11, r_max)] with r_max <= 1/h, where f(r) = r^2 exp(-2hr)
@@ -230,7 +235,7 @@ def maximize_eva(
         return EvaResult(objective.value(radii), radii, attaining, True)
     certified = convexity_certified(reduced)
     poly = build_h_polytope(reduced)
-    verts = enumerate_vertices(poly, maximal=certified)
+    verts = enumerate_vertices(poly, maximal=True)
     values = objective.values(verts)
     best = int(np.argmax(values))  # first max in lex order: smallest radii win ties
     best_value = float(values[best])
@@ -381,13 +386,10 @@ def _triple_max(
 ) -> tuple[float, np.ndarray | None]:
     """Best radii of a 3-point polytope off its vertices, by the face lemma.
 
-    Face lemma.  f(r) = r^2 e^(-2hr) strictly increases on [0, 1/h] and
-    r_max <= 1/h.  At a maximum every radius is at r_max or in a tight
-    pair row: otherwise every row through it is slack, and raising it a
-    little stays feasible and, as theta_i > 0, raises the sum.  So the
-    maximum lies among
-      (a) the vertices, which maximize_eva has scanned; best is their
-          best value;
+    By the face lemma (maximize_eva), at a maximum every radius is at
+    r_max or in a tight pair row.  So the maximum lies among
+      (a) the maximal vertices, which maximize_eva has scanned; best is
+          their best value;
       (b) pair segments: one tight pair row {i, j} and the third radius
           k at r_max.  Putting k at u_k = min(r_max, R_ik, R_jk) instead
           keeps every candidate feasible (the case is empty when
@@ -591,8 +593,9 @@ def evA_exact_from_matrix(
     exact two-point maximum (_pair_max) with budget R_ij and caps
     u_i(S), u_j(S).  Every matching gives a valid bound; the best
     matching of each subset is used (a matching of one pair is the
-    one-pair bound, so this is never weaker), taken over a table of the
-    maximum matchings of all n points (_subset_upper_bounds).
+    one-pair bound, so this is never weaker), found for all subsets at
+    once by a memoised recursion over the maximum matchings of all n
+    points (_subset_upper_bounds, _best_matching).
     Subsets are solved in order of decreasing bound, and the search stops
     at the first subset whose bound is below the best value found by
     more than a 1e-12 relative rounding margin; all later subsets have
@@ -671,31 +674,32 @@ def _subset_upper_bounds(
 ) -> np.ndarray:
     """UB(S) tightened by the best pair matching (see evA_exact_from_matrix).
 
-    +inf for a subset holding a point with an infinite budget (no
-    boundary and h = 0); solving that singleton raises the unbounded
-    instance error, as the full scan would.  Only singletons can have an
-    infinite budget, so the pair terms never meet one.  Every budget is
-    at most r_max <= 1/h, where f still increases and _pair_max applies.
+    members is the 0/1 table of the subsets, one row each (_subset_table).
+    A member's budget u_i(S) is the smallest entry over the members j of
+    S, i itself included, of the reduced matrix with a lone point's
+    budget min(boundary distance, r_max) on its diagonal.  R_ij is at
+    most the boundary distance of i, so with two or more members that is
+    min(r_max, min over j != i of R_ij).  +inf for a subset holding a
+    point with an infinite budget (no boundary and h = 0); solving that
+    singleton raises the unbounded instance error, as the full scan
+    would.  Only singletons can have an infinite budget, so the pair
+    terms never meet one.  Every budget is at most r_max <= 1/h, where f
+    still increases and _pair_max applies.
 
     gain[p, k] = min(E_ij(S_k) - s_i - s_j, 0) for each pair p = {i, j}
     inside S_k and 0 for every other pair; E_ij <= s_i + s_j, so the
-    clip only absorbs rounding.  Every matching of S extends to a row of
-    _matching_table(n), whose other pairs add 0, so the smallest sum of
-    gains over a row's n // 2 pairs is the best matching inside S.  A
-    sum of gains <= 0 is at most each of them in floats too, so the
-    bound never exceeds the one with the single best pair.  The sums are
-    gathered in blocks of subsets and of matchings, each block no larger
-    than the (subsets, n, n) budget array built here.  members is the
-    0/1 table of the subsets, one row each (_subset_table).
+    clip only absorbs rounding.  Every matching of S extends to a
+    maximum matching of all n points, whose other pairs add 0, so the
+    smallest gain sum over the maximum matchings (_best_matching) is
+    the best matching inside S.  A sum of gains <= 0 is at most each of
+    them in floats too, so the bound never exceeds the one with the
+    single best pair.
     """
     n = matrix.n
     h, r_max = reduced.h, reduced.r_max
-    pair = np.where(np.eye(n, dtype=bool), np.inf, reduced.entries)
+    pair = reduced.entries.copy()
+    np.fill_diagonal(pair, np.minimum(matrix.boundary_distances, r_max))
     budgets = np.min(np.where(members[:, None, :], pair[None], np.inf), axis=2)
-    single = np.minimum(matrix.boundary_distances, r_max)
-    budgets = np.where(members.sum(axis=1)[:, None] == 1, single, budgets)
-    # A radius cap below 1/h (periodic domains) bounds every radius too.
-    budgets = np.minimum(budgets, r_max)
     unbounded = np.any(members & np.isinf(budgets), axis=1)
     terms = objective.terms(np.where(members & ~unbounded[:, None], budgets, 0.0))
     bounds = terms.sum(axis=1)
@@ -707,28 +711,45 @@ def _subset_upper_bounds(
     theta = objective.thetas(n)
     budget = reduced.entries[i, j]
     pair_max, _, _ = _pair_max(theta[i], theta[j], h, budget, budgets[k, i], budgets[k, j])
-    # One row per pair, so each gather below copies whole rows of subsets.
-    gain = np.zeros((len(iu), len(members)))
-    gain[p, k] = np.minimum(pair_max - terms[k, i] - terms[k, j], 0.0)
-
-    table = _matching_table(n)
-    block = len(members) * n * n
-    table_step = max(1, block // max(1, len(iu)))
-    row_step = max(1, block // min(len(table), table_step))
-    best = np.zeros(len(members))
-    # n = 1 has no pair, and its one empty matching adds nothing.
-    for t0 in range(0, len(table) if n >= 2 else 0, table_step):
-        first, *rest = table[t0:t0 + table_step].T
-        for r0 in range(0, len(members), row_step):
-            rows = slice(r0, r0 + row_step)
-            block_gain = gain[:, rows]
-            total = block_gain[first]
-            for q in rest:
-                total += block_gain[q]
-            np.minimum(best[rows], total.min(axis=0), out=best[rows])
-    bounds = bounds + best
+    # gain[i, j] holds pair {i, j}'s gains as one row over the subsets,
+    # so each sum in _best_matching adds whole rows.
+    gain = np.zeros((n, n, len(members)))
+    gain[i, j, k] = np.minimum(pair_max - terms[k, i] - terms[k, j], 0.0)
+    bounds = bounds + _best_matching(gain, tuple(range(n)), {})
     bounds[unbounded] = np.inf
     return bounds
+
+
+def _best_matching(gain: np.ndarray, free: tuple, memo: dict) -> np.ndarray | float:
+    """Smallest gain sum over the maximum matchings of the points free,
+    for every subset at once.
+
+    gain[a, b] holds the gains of the pair {a, b}, a < b, one per
+    subset.  With f the first point of free, a maximum matching pairs f
+    with some other point o and matches the rest maximally; when |free|
+    is odd it may also leave f out and match the rest perfectly:
+
+        best(free) = min over o of gain[f, o] + best(free - {f, o}),
+
+    and best(free - {f}) too for odd |free|, with best = 0 below two
+    points and a pair's own gains for two.  That walks each maximum
+    matching of K_n once ((n - 1)!! for even n, n (n - 2)!! for odd n),
+    while memo, keyed by free, holds one row per distinct free set of
+    three or more points: 6 at n = 6, 211 at n = 12, 581 at n = 14.
+    """
+    if len(free) < 3:
+        return gain[free] if free[1:] else 0.0
+    value = memo.get(free)
+    if value is None:
+        first, rest = free[0], free[1:]
+        value = _best_matching(gain, rest, memo) if len(free) % 2 else None
+        for m, other in enumerate(rest):
+            total = gain[first, other]
+            if len(rest) > 2:  # pairing first with other leaves two or more points
+                total = total + _best_matching(gain, rest[:m] + rest[m + 1:], memo)
+            value = total if value is None else np.minimum(value, total)
+        memo[free] = value
+    return value
 
 
 @functools.cache
@@ -743,35 +764,6 @@ def _subset_table(n: int) -> np.ndarray:
     codes = np.arange(1, 2 ** n)
     members = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
     table = members[np.lexsort((-codes, members.sum(axis=1)))]
-    table.flags.writeable = False
-    return table
-
-
-@functools.cache
-def _matching_table(n: int) -> np.ndarray:
-    """The maximum matchings of K_n as a read-only table of pair indices.
-
-    One row per matching, holding its n // 2 pairs as indices into
-    np.triu_indices(n, 1) order, increasing.  For even n the rows are the
-    (n - 1)!! perfect matchings; for odd n one point is left out,
-    n (n - 2)!! rows.  n = 1 has one empty row.
-    """
-    iu, ju = pair_indices(n)
-    index = {(int(a), int(b)): q for q, (a, b) in enumerate(zip(iu, ju))}
-    rows: list[list[int]] = []
-
-    def extend(free: tuple, chosen: list) -> None:
-        if len(free) < 2:
-            rows.append(chosen)
-            return
-        first, rest = free[0], free[1:]
-        for m, other in enumerate(rest):
-            extend(rest[:m] + rest[m + 1:], chosen + [index[first, other]])
-        if len(free) % 2:  # the point left out
-            extend(rest, chosen)
-
-    extend(tuple(range(n)), [])
-    table = np.array(rows, dtype=np.intp).reshape(len(rows), n // 2)
     table.flags.writeable = False
     return table
 

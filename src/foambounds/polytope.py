@@ -191,15 +191,17 @@ def build_h_polytope(reduced: ReducedDistanceMatrix) -> HPolytope:
 
     Rows, in order: r_i + r_j <= d_ij for i < j, then -r_i <= 0 for all i,
     then r_i <= r_max for all i when r_max is finite.  A single point
-    yields the interval [0, d_11].  Every row has one of the three
+    yields the interval [0, min(d_11, r_max)]: r_11 <= d_11 and the cap
+    in one row (reduce_distance_matrix gives d_11 <= r_max, a matrix
+    made by hand need not).  Every row has one of the three
     shapes, every coordinate has a pair or cap row (n >= 2 gives each a
     pair row) and a nonneg row, and the reduced entries are nonnegative,
     so the system passes HPolytope's checks without running them.
     """
     n = reduced.n
     if n == 1:
-        d11 = float(reduced.entries[0, 0])
-        return _unchecked(HPolytope, M=np.array([[1.0], [-1.0]]), b=np.array([d11, 0.0]))
+        top = min(float(reduced.entries[0, 0]), reduced.r_max)
+        return _unchecked(HPolytope, M=np.array([[1.0], [-1.0]]), b=np.array([top, 0.0]))
     iu, ju = pair_indices(n)
     eye = np.eye(n)
     rows = [eye[iu] + eye[ju], np.diag(np.full(n, -1.0))]

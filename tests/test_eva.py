@@ -39,7 +39,7 @@ from foambounds import (
 from foambounds.eva import (
     CONVEXITY_COEFF,
     _PRUNE_RTOL,
-    _matching_table,
+    _best_matching,
     _multistart_ascent,
     _pair_max,
     _pair_stationary,
@@ -228,6 +228,25 @@ def test_uncertified_instance_uses_ascent_and_stays_feasible():
     obj = EvaObjective(h)
     vertex_best = max(obj.value(v) for v in verts)
     assert res.value >= vertex_best - 1e-12 * vertex_best
+    # Only the maximal vertices are scanned, and by the face lemma the
+    # result still reaches the best vertex of the whole polytope, for
+    # N = 2..5 with mixed densities.
+    rng = np.random.default_rng(33)
+    for n in range(2, 6):
+        found = 0
+        while found < 6:
+            points, domain = random_instance(rng, n, ball_radius=2.0)
+            h = float(rng.choice([1.0, 3.0]))
+            reduced = reduce_distance_matrix(build_distance_matrix(points, domain), h)
+            if convexity_certified(reduced):
+                continue
+            objective = EvaObjective(h, rng.choice(MIXED_THETAS, size=n))
+            res = maximize_eva(reduced, objective)
+            poly = build_h_polytope(reduced)
+            assert poly.contains(res.radii)
+            vertex_best = float(np.max(objective.values(enumerate_vertices(poly))))
+            assert res.value >= vertex_best * (1.0 - 1e-12), (n, found)
+            found += 1
 
 
 def test_ascent_beats_every_vertex():
@@ -338,6 +357,8 @@ def test_certified_nine_points_scan_is_fast():
 
 
 def test_vertex_scan_logs_maximal_flag(caplog):
+    # The face lemma holds in every regime, so the scan is always over
+    # the maximal vertices.
     uncertified = ReducedDistanceMatrix(np.full((4, 4), 3.0) - 3.0 * np.eye(4), 0.3)
     for reduced, certified in ((worked_reduced(), True), (uncertified, False)):
         caplog.clear()
@@ -346,7 +367,7 @@ def test_vertex_scan_logs_maximal_flag(caplog):
         assert res.convexity_certified is certified
         lines = [r.getMessage() for r in caplog.records
                  if r.getMessage().startswith("enumerate_vertices:")]
-        assert len(lines) == 1 and f"maximal={certified}" in lines[0], lines
+        assert len(lines) == 1 and "maximal=True" in lines[0], lines
 
 
 def boundary_instance(n, gap=0.0):
@@ -853,32 +874,53 @@ def test_matching_bound_covers_every_subset():
     terms, gains = pair_gains(reduced, objective, full, subset_budgets(matrix, reduced, full))
     assert bounds[-1] < terms.sum() + min(gains.values())
     assert bounds[-1] == pytest.approx(terms.sum() + best_matching(4, gains), rel=1e-15)
+    # A point on a box face: its budget, and every pair budget it is in,
+    # is zero.
+    points = PointSet(np.array([[0.0, 0.5, 0.5], [0.5, 0.5, 0.5], [0.8, 0.3, 0.6]]))
+    matrix = build_distance_matrix(points, Box(np.zeros(3), np.ones(3)))
+    assert matrix.boundary_distances[0] == 0.0
+    for h in (0.0, 0.3, 3.0):
+        reduced, bounds = assert_bounds_cover_subsets(matrix, h, EvaObjective(h))
+        assert bounds[0] == 0.0
 
 
 def double_factorial(n):
     return math.prod(range(n, 0, -2))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_matching_table_rows_are_the_maximum_matchings(n):
-    table = _matching_table(n)
+def maximum_matchings(n):
+    """Every maximum matching of K_n, as a tuple of pairs, by brute force."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return [m for m in itertools.combinations(pairs, n // 2)
+            if len(set(itertools.chain.from_iterable(m))) == 2 * (n // 2)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_best_matching_is_the_smallest_sum_over_maximum_matchings(n):
+    rng = np.random.default_rng(50 + n)
     iu, ju = np.triu_indices(n, 1)
-    assert table.shape == (double_factorial(n - 1 if n % 2 == 0 else n), n // 2)
-    assert not table.flags.writeable
-    # Each row holds n // 2 increasing pair indices with no point twice,
-    # and no row repeats.
-    assert np.all(np.diff(table, axis=1) > 0)
-    ends = np.concatenate([iu[table], ju[table]], axis=1)
-    assert all(len(set(row)) == 2 * (n // 2) for row in ends.tolist())
-    assert len({tuple(row) for row in table.tolist()}) == len(table)
+    # Columns 0-5: quarters in [-0.75, 0], so zeros and ties everywhere
+    # and every sum exact; column 6 all zero; columns 7-9 continuous.
+    gain = np.zeros((n, n, 10))
+    gain[iu, ju, :6] = -0.25 * rng.integers(0, 4, size=(len(iu), 6))
+    gain[iu, ju, 7:] = -rng.random((len(iu), 3))
+    before = gain.copy()
+    matchings = maximum_matchings(n)
+    assert len(matchings) == double_factorial(n - 1 if n % 2 == 0 else n)
+    sums = np.array([sum((gain[a, b] for a, b in m), np.zeros(10)) for m in matchings])
+    want = sums.min(axis=0)
+    got = np.broadcast_to(_best_matching(gain, tuple(range(n)), {}), want.shape)
+    assert np.array_equal(got[:7], want[:7])
+    assert got[7:] == pytest.approx(want[7:], rel=1e-15)
+    assert np.array_equal(gain, before)  # pair rows are returned as views
 
 
-def test_chunked_matching_bound_matches_per_subset_recursion():
-    # At n = 11 the sums run in several blocks of matchings and of
-    # subsets; at n = 10 in blocks of subsets only.  Every large subset
-    # and a sample of the rest are checked against a direct recursion.
+def test_matching_bound_matches_per_subset_recursion():
+    # The bounds of all subsets at once, from one recursion over the
+    # whole set, against a recursion per subset: every large subset and
+    # a sample of the rest, up to n = 12.
     rng = np.random.default_rng(48)
-    for n, h in ((10, 3.0), (11, 6.0)):
+    for n, h in ((10, 3.0), (11, 6.0), (12, 0.3)):
         matrix = random_distance_matrix(rng, n, ball_radius=1.0)
         objective = EvaObjective(h, rng.choice(MIXED_THETAS, size=n))
         reduced = reduce_distance_matrix(matrix, h)

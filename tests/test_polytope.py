@@ -125,6 +125,15 @@ def test_build_single_point_interval():
     poly = build_h_polytope(ReducedDistanceMatrix(np.array([[4.0]]), 0.0))
     verts = enumerate_vertices(poly)
     assert same_vertex_sets(verts, [[0.0], [4.0]], 1e-12)
+    # A hand-made entry above r_max = min(1/h, radius cap): the interval
+    # ends at the cap, as for two or more points, and at d_11 below it.
+    for cap, top in ((0.5, 0.5), (0.95, 0.9)):
+        reduced = ReducedDistanceMatrix(np.array([[0.9]]), 1.0, radius_cap=cap)
+        poly = build_h_polytope(reduced)
+        assert poly.b.tolist() == [top, 0.0]
+        assert enumerate_vertices(poly).tolist() == [[0.0], [top]]
+    reduced = ReducedDistanceMatrix(np.array([[0.9]]), 2.0)
+    assert enumerate_vertices(build_h_polytope(reduced)).tolist() == [[0.0], [0.5]]
 
 
 def test_build_two_points_with_cap():
