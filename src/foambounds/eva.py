@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegeneratePolytopeError, SubsetSizeError, UnboundedInstanceError
 from .geometry import (
@@ -269,13 +268,15 @@ def maximize_eva(
     return EvaResult(best_value, best_radii, attaining, certified)
 
 
-def _pair_max(theta_i, theta_j, h: float, budget, cap_i, cap_j):
+def _pair_max(theta_i, theta_j, h: float, budget, cap_i, cap_j, root=None):
     """Exact maximum of pi theta_i f(r_i) + pi theta_j f(r_j), elementwise.
 
     f(r) = r^2 exp(-2 h r), over r_i + r_j <= budget, 0 <= r_i <= cap_i
     and 0 <= r_j <= cap_j, where cap_i, cap_j <= budget <= 1/h (any
     budget when h = 0).  The array arguments broadcast together; returns
-    (value, r_i, r_j) as 1-d arrays of the broadcast size.
+    (value, r_i, r_j) as 1-d arrays of the broadcast size.  root, if
+    given, is _pair_root(theta_i, theta_j, h, budget), computed once by
+    a caller that solves many cap pairs per (theta_i, theta_j, budget).
 
     f increases on [0, 1/h], so when cap_i + cap_j <= budget the corner
     (cap_i, cap_j) is the maximum; otherwise the maximum lies on the
@@ -292,7 +293,8 @@ def _pair_max(theta_i, theta_j, h: float, budget, cap_i, cap_j):
     local maximum: the root of H there.  That stretch is empty, i.e.
     H'(rho/2) >= 0, exactly when rho <= 2 - sqrt(2) = CONVEXITY_COEFF.
     The candidates are the two segment ends and that root (clipped into
-    the segment); the largest wins, the lower end first on ties.
+    the segment); the largest wins, the lower end first on ties.  The
+    root depends on the weights and the budget only, not on the caps.
     """
     theta_i, theta_j, budget, cap_i, cap_j = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(a, dtype=float))
@@ -302,13 +304,9 @@ def _pair_max(theta_i, theta_j, h: float, budget, cap_i, cap_j):
     hi = np.minimum(cap_i, budget)
     candidates = [lo, hi]
     if h > 0.0:
-        rho = np.minimum(h * budget, 1.0)
-        curved = rho > CONVEXITY_COEFF
-        x = np.zeros_like(rho)
-        x[curved] = _pair_stationary(
-            np.log(theta_i[curved] / theta_j[curved]), rho[curved]
-        )
-        candidates.append(np.where(curved, np.clip(x / h, lo, hi), lo))
+        if root is None:
+            root = _pair_root(theta_i, theta_j, h, budget)
+        candidates.append(np.where(np.isnan(root), lo, np.clip(root, lo, hi)))
     r_i = np.stack(candidates)
     r_j = np.clip(budget - r_i, 0.0, cap_j)
     k = np.argmax(_disc_area(theta_i, h, r_i) + _disc_area(theta_j, h, r_j), axis=0)
@@ -318,6 +316,18 @@ def _pair_max(theta_i, theta_j, h: float, budget, cap_i, cap_j):
     r_i = np.where(corner, cap_i, r_i)
     r_j = np.where(corner, cap_j, r_j)
     return _disc_area(theta_i, h, r_i) + _disc_area(theta_j, h, r_j), r_i, r_j
+
+
+def _pair_root(theta_i, theta_j, h: float, budget) -> np.ndarray:
+    """r_i at the interior local maximum of _pair_max's segment, before
+    clipping to the caps, for float arrays of one shape; NaN where the
+    segment has none (rho = min(h budget, 1) <= CONVEXITY_COEFF).  Needs
+    h > 0."""
+    rho = np.minimum(h * budget, 1.0)
+    curved = rho > CONVEXITY_COEFF
+    x = np.full_like(rho, np.nan)
+    x[curved] = _pair_stationary(np.log(theta_i[curved] / theta_j[curved]), rho[curved])
+    return x / h
 
 
 def _pair_stationary(log_ratio: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -517,6 +527,8 @@ def _multistart_ascent(
     poly: HPolytope, objective: EvaObjective, vertices: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Deterministic multi-start local ascent inside the polytope."""
+    from scipy.optimize import minimize
+
     x0 = interior_point(poly.M, poly.b)
     seeds = [x0]
     for t in (0.5, 0.9):
@@ -705,12 +717,14 @@ def _subset_upper_bounds(
     bounds = terms.sum(axis=1)
 
     # Pair gains: one entry per (subset, pair inside it), |S| >= 2 only.
+    # Each pair's segment root is solved once and gathered to its entries.
     iu, ju = pair_indices(n)
     k, p = np.nonzero(members[:, iu] & members[:, ju])
     i, j = iu[p], ju[p]
     theta = objective.thetas(n)
     budget = reduced.entries[i, j]
-    pair_max, _, _ = _pair_max(theta[i], theta[j], h, budget, budgets[k, i], budgets[k, j])
+    root = _pair_root(theta[iu], theta[ju], h, reduced.entries[iu, ju])[p] if h > 0.0 else None
+    pair_max, _, _ = _pair_max(theta[i], theta[j], h, budget, budgets[k, i], budgets[k, j], root)
     # gain[i, j] holds pair {i, j}'s gains as one row over the subsets,
     # so each sum in _best_matching adds whole rows.
     gain = np.zeros((n, n, len(members)))

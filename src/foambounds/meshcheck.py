@@ -164,8 +164,8 @@ class DiscProbe:
     def __post_init__(self):
         self.center = as_point(self.center)
         self.radius = float(self.radius)
-        if not self.radius > 0:
-            raise ValueError("probe radius must be positive")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ValueError("probe radius must be positive and finite")
         self.h = require_curvature(self.h)
 
 
@@ -550,7 +550,10 @@ def verify_main_inequality(
     verification, not a point estimate.  The ratio is clipped_area / rhs,
     or None when rhs underflows to 0.0.
     """
-    value, uncertainty = _clipped_area_detail(mesh, probe, eps)
+    # Plain floats throughout, so passed is a plain bool and the report
+    # serialises whichever of eps and the rounding bound is larger.
+    eps = float(eps)
+    value, uncertainty = map(float, _clipped_area_detail(mesh, probe, eps))
     rhs = main_theorem_bound(probe.density_class.theta, probe.h, probe.radius)
     lhs = value - max(eps, uncertainty)
     return InequalityReport(

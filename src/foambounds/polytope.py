@@ -80,13 +80,13 @@ system and D are plain array slices on the same path as P.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DegeneratePolytopeError, NumericalError, UnboundedInstanceError
 from .geometry import ReducedDistanceMatrix, _unchecked, pair_indices
@@ -281,6 +281,8 @@ def enumerate_vertices(poly: HPolytope, maximal: bool = False) -> np.ndarray:
     if n <= 1 or math.comb(m, n) <= _AUTO_COMBINATORIAL_LIMIT:
         free = _combinatorial_vertices(M, b, feas_tol)
     else:
+        from scipy.spatial import QhullError
+
         try:
             free = _dual_transform_vertices(M, b, feas_tol)
             route = "dual"
@@ -347,11 +349,21 @@ def _combinatorial_vertices(M: np.ndarray, b: np.ndarray, feas_tol: np.ndarray) 
             f"combinatorial enumeration would scan {total} row subsets; "
             "instance is too large for the reference method"
         )
-    idx = np.array(list(itertools.combinations(range(m), n)), dtype=np.intp).reshape(total, n)
+    idx = _row_subsets(m, n)
     sub_m = M[idx]
     keep = np.abs(np.linalg.det(sub_m)) > 0.5
     sols = np.linalg.solve(sub_m[keep], b[idx[keep], None])[..., 0]
     return sols[np.all(sols @ M.T <= b + feas_tol, axis=1)]
+
+
+@functools.cache
+def _row_subsets(m: int, n: int) -> np.ndarray:
+    """The size-n subsets of m rows as a read-only (C(m, n), n) index array,
+    in the order of itertools.combinations."""
+    idx = np.array(list(itertools.combinations(range(m), n)), dtype=np.intp)
+    idx = idx.reshape(math.comb(m, n), n)
+    idx.flags.writeable = False
+    return idx
 
 
 def _dual_transform_vertices(M: np.ndarray, b: np.ndarray, feas_tol: np.ndarray) -> np.ndarray:
@@ -387,7 +399,7 @@ def _dual_transform_vertices(M: np.ndarray, b: np.ndarray, feas_tol: np.ndarray)
     return verts[feasible]
 
 
-def _convex_hull(points: np.ndarray) -> ConvexHull:
+def _convex_hull(points: np.ndarray):
     """Qhull's hull of points without facet pre-merging, checked; merged
     on failure.
 
@@ -414,6 +426,8 @@ def _convex_hull(points: np.ndarray) -> ConvexHull:
     defaults and the retry logged at debug level with its cause; a
     QhullError of the retry propagates.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(points, qhull_options="Q0")
     except QhullError as exc:
@@ -448,6 +462,8 @@ def _dedup_lex(verts: np.ndarray, dedup_tol: float, frame: np.ndarray) -> np.nda
     row's fate before any later row asks about it, so only close pairs
     are ever looked at.  Needs dedup_tol >= 0 and frame > 0.
     """
+    from scipy.spatial import cKDTree
+
     verts = verts[np.lexsort(verts.T[::-1])]
     scaled = verts / frame
     distinct = np.ones(len(verts), dtype=bool)

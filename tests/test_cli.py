@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from foambounds import (
 from foambounds.cli import main
 from foambounds.geometry import THETA_V_PI
 from foambounds.meshcheck import save_off
-from foambounds.meshes import flat_sheet, tetrahedral_cone, triple_wedge
+from foambounds.meshes import flat_sheet, icosphere, tetrahedral_cone, triple_wedge
 
 WORKED_INSTANCE = {
     "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]],
@@ -570,3 +571,34 @@ def test_eva_point_near_domain_boundary(tmp_path):
     assert values[8, 0.0] == pytest.approx(4.0123e-13, rel=1e-4)
     assert values[8, 3.0] == pytest.approx(values[8, 0.0], rel=1e-6)
     assert values[6, 0.0] > 0.0
+
+
+@pytest.mark.parametrize("extra", [
+    ["--radius", "0.3", "--eps-area", "1e-14"],
+    ["--radius", "1e20"],
+], ids=["tiny-eps", "huge-radius"])
+def test_mesh_verify_reports_rounding_bound_above_eps(extra, tmp_path):
+    # The rounding bound beats the error budget, so lhs subtracts it; the
+    # report must still serialise, with passed a JSON bool.
+    mesh = tmp_path / "sphere.off"
+    save_off(icosphere(4), mesh)
+    out = tmp_path / "report.json"
+    assert run(["mesh-verify", "--input", str(mesh), "--center=1,0,0", *extra,
+                "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["uncertainty"] > report["eps"]
+    assert isinstance(report["passed"], bool)
+    assert report["lhs"] == report["clipped_area"] - report["uncertainty"]
+
+
+def test_mesh_verify_rejects_infinite_radius(tmp_path, capsys):
+    mesh = tmp_path / "sphere.off"
+    save_off(icosphere(2), mesh)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["mesh-verify", "--input", str(mesh), "--center=1,0,0",
+                    "--radius", "inf"]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: probe radius must be positive and finite\n"

@@ -888,6 +888,12 @@ def test_clipped_area_validates_eps(unit_sphere):
         clipped_area(unit_sphere, DiscProbe([0, 0, 0], 1.0), eps=0.0)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+def test_probe_radius_must_be_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="probe radius must be positive and finite"):
+        DiscProbe([0.0, 0.0, 0.0], radius)
+
+
 def test_pairwise_sum_matches_fsum():
     rng = np.random.default_rng(4)
     x = rng.normal(size=1000) * 10.0 ** rng.integers(-6, 6, size=1000)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError, cKDTree
 
@@ -505,7 +506,7 @@ def test_dual_fallback_is_logged(caplog, monkeypatch, vertex_route):
         expected = brute_force_vertices(poly.M, poly.b, frame=budget_frame(poly),
                                         feas_tol=FEASIBILITY_TOL)
         for hull, route in ((ConvexHull, "dual"), (failing_hull, "combinatorial")):
-            monkeypatch.setattr(polytope, "ConvexHull", hull)
+            monkeypatch.setattr(scipy.spatial, "ConvexHull", hull)
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
                 got = enumerate_vertices(poly)
@@ -553,7 +554,7 @@ def test_full_dimensional_instance_stays_on_dual_route(caplog):
 
 def test_unmerged_hull_error_retries_merged(caplog, monkeypatch):
     poly = dual_route_instance()
-    monkeypatch.setattr(polytope, "ConvexHull", merged_hull)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", merged_hull)
     expected = enumerate_vertices(poly)
 
     def unmerged_fails(points, qhull_options=None):
@@ -561,7 +562,7 @@ def test_unmerged_hull_error_retries_merged(caplog, monkeypatch):
             raise QhullError("QH6115 qhull precision error: f5 is concave to f18\nmore")
         return ConvexHull(points)
 
-    monkeypatch.setattr(polytope, "ConvexHull", unmerged_fails)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", unmerged_fails)
     with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
         got = enumerate_vertices(poly)
     assert np.array_equal(got, expected)
@@ -580,7 +581,7 @@ def test_unmerged_hull_error_retries_merged(caplog, monkeypatch):
 ])
 def test_unmerged_hull_that_fails_the_check_retries_merged(caplog, monkeypatch, corrupt, cause):
     poly = dual_route_instance()
-    monkeypatch.setattr(polytope, "ConvexHull", merged_hull)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", merged_hull)
     expected = enumerate_vertices(poly)
 
     def corrupted(points, qhull_options=None):
@@ -594,7 +595,7 @@ def test_unmerged_hull_that_fails_the_check_retries_merged(caplog, monkeypatch, 
             hull.neighbors[0, 0] = -1
         return hull
 
-    monkeypatch.setattr(polytope, "ConvexHull", corrupted)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", corrupted)
     with caplog.at_level(logging.DEBUG, logger="foambounds.polytope"):
         got = enumerate_vertices(poly)
     assert np.array_equal(got, expected)
@@ -619,7 +620,7 @@ def test_unmerged_and_merged_hulls_agree_on_built_polytopes(caplog, monkeypatch,
                 got = enumerate_vertices(poly, maximal=maximal)
             retried += len(retry_records(caplog))
             with monkeypatch.context() as patch:
-                patch.setattr(polytope, "ConvexHull", merged_hull)
+                patch.setattr(scipy.spatial, "ConvexHull", merged_hull)
                 expected = enumerate_vertices(poly, maximal=maximal)
             assert same_point_sets(got / frame, expected / frame, 1e-12), (poly.n, maximal)
             compared += 1
